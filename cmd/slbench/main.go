@@ -84,9 +84,9 @@ type incrementalStats struct {
 	// EdgesChangedPerSnapshot is the mean number of adjacency patches
 	// (adds + removes) per incremental build.
 	EdgesChangedPerSnapshot float64 `json:"edges_changed_per_snapshot"`
-	// DiamReuseFrac / CCReuseFrac are the metric-cache hit ratios:
-	// diameters answered from the component cache, and per-vertex
-	// clustering coefficients served without recomputation.
+	// DiamReuseFrac is the share of diameters answered from the
+	// component cache; CCReuseFrac the share of per-vertex clustering
+	// inputs (degree, triangle count) unchanged since the previous call.
 	DiamReuseFrac float64 `json:"diam_reuse_frac"`
 	CCReuseFrac   float64 `json:"cc_reuse_frac"`
 }

@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"math"
+
 	"slmob/internal/geom"
 )
 
@@ -33,18 +35,23 @@ type WorkspaceStats struct {
 	Moved    int64
 	Arrived  int64
 	Departed int64
-	// EdgesAdded / EdgesRemoved count adjacency patches on the delta
-	// path. Scratch rebuilds are not counted: the rates describe
-	// incremental work.
+	// EdgesAdded / EdgesRemoved count the edges the delta path actually
+	// added and removed — an avatar that moved without gaining or losing
+	// a neighbour changes neither. Scratch rebuilds are not counted: the
+	// rates describe incremental work.
 	EdgesAdded   int64
 	EdgesRemoved int64
 	// DiamReused / DiamComputed count Diameter calls answered from the
-	// component cache vs recomputed; CCReused / CCComputed count
-	// per-vertex clustering coefficients served from cache vs computed.
+	// component cache vs recomputed.
 	DiamReused   int64
 	DiamComputed int64
-	CCReused     int64
-	CCComputed   int64
+	// CCComputed counts, per MeanClustering call, the vertices whose
+	// degree or triangle count changed since the previous call (every
+	// vertex after a rebuild); CCReused counts the rest. Every
+	// coefficient is an O(1) quotient of the maintained triangle count,
+	// so the split measures how much of the graph moved, not work saved.
+	CCReused   int64
+	CCComputed int64
 }
 
 // Add folds another stats block into st.
@@ -75,9 +82,9 @@ func (ws *Workspace) SetChurnThreshold(t float64) { ws.d.thresh = t }
 // deltaState is the temporal-coherence state ApplyPositions keeps between
 // snapshots. Avatars live in stable slots so that identity survives the
 // index reshuffling of arrivals and departures: the grid, the slot-space
-// adjacency, and the per-slot metric caches are keyed by slot, and each
-// call translates the patched slot-space graph into the workspace's
-// index-space CSR arena.
+// adjacency, the triangle counts and the diameter cache are keyed by
+// slot, and each call translates the patched slot-space graph into the
+// workspace's index-space CSR arena.
 type deltaState struct {
 	ok     bool    // slot state mirrors the previous snapshot
 	active bool    // the latest build came through ApplyPositions
@@ -87,31 +94,39 @@ type deltaState struct {
 
 	grid *geom.Grid // persistent grid over live slots, patched in place
 
-	idOf  map[uint64]int32 // avatar id -> slot
-	id    []uint64         // slot -> avatar id
-	pos   []geom.Vec       // slot -> last observed position
-	nbr   [][]int32        // slot-space adjacency, unordered
-	seen  []int64          // slot -> epoch last present (departure detection)
-	dirtG []int64          // slot -> epoch last marked dirty
-	free  []int32          // recyclable slots
-	live  []int32          // slots present in the previous snapshot
+	idOf map[uint64]int32 // avatar id -> slot
+	id   []uint64         // slot -> avatar id
+	pos  []geom.Vec       // slot -> last observed position
+	nbr  [][]int32        // slot-space adjacency, unordered
+	tri  []int32          // slot -> edges among its neighbours (triangles through it)
+	seen []int64          // slot -> epoch last present (departure detection)
+	chg  []int64          // slot -> epoch its degree or triangle count last changed
+	free []int32          // recyclable slots
+	live []int32          // slots present in the previous snapshot
 
 	slotOf []int32 // current index -> slot
 	idxOf  []int32 // slot -> current index
 
-	// Metric caches, invalidated by edge changes in the slot's
-	// neighbourhood (see touch rules in detachSlot/linkSlots).
-	cc     []float64 // slot -> local clustering coefficient
-	ccOK   []bool
+	// Diameter cache: a slot's flag is cleared whenever an edge incident
+	// to it is added or removed.
 	diam   []int32 // slot -> diameter of its component when last cached
 	diamOK []bool
+	// ccEpoch is the epoch of the latest MeanClustering call; vertices
+	// with chg > ccEpoch count as CCComputed.
+	ccEpoch int64
+
+	// Edge-diff membership stamps for the slot s being patched:
+	// inN[o] == stamp iff o ∈ nbr[s], inNew[o] == stamp iff o is within
+	// range of s. A fresh stamp per patched slot clears both in O(1).
+	stamp int32
+	inN   []int32
+	inNew []int32
 
 	// Per-call scratch.
-	dirty    []int32 // slots whose edges must be recomputed
 	departed []int32
 	arrived  []int32 // current indices of new avatars
 	moved    []int32 // current indices of avatars whose (X, Y) changed
-	ccStamp  []int32 // neighbour-membership stamps for clustering recompute
+	cand     []int32 // neighbours within range of the slot being patched
 }
 
 // ApplyPositions builds the same proximity graph FromPositions builds —
@@ -121,8 +136,8 @@ type deltaState struct {
 // departures. ids[i] is the stable identity of the avatar at ps[i]; ids
 // must be unique within a call. When the churn fraction exceeds the
 // threshold (SetChurnThreshold), or on the first call, a range change, or
-// after a FromPositions call, it falls back to a full rebuild, so the
-// worst case never exceeds a scratch build.
+// after a FromPositions call, it rebuilds from empty slot state instead,
+// so the worst case never exceeds a scratch build.
 //
 // Adjacency-list order may differ from FromPositions, but every metric
 // the pipeline derives — degrees, diameter, clustering, contact pairs —
@@ -142,13 +157,81 @@ func (ws *Workspace) ApplyPositions(ids []uint64, ps []geom.Vec, r float64) *Gra
 		ws.stats.FullRebuilds++
 		return ws.FromPositions(ps, r)
 	}
-	if !d.ok || d.r != r {
-		return ws.rebuildDelta(ids, ps, r)
-	}
-
-	// Diff the snapshot against the slot state.
-	n := len(ids)
 	d.epoch++
+	rebuild := !d.ok || d.r != r
+	if !rebuild {
+		d.diff(ids, ps)
+		ws.stats.Moved += int64(len(d.moved))
+		ws.stats.Arrived += int64(len(d.arrived))
+		ws.stats.Departed += int64(len(d.departed))
+
+		// Churn heuristic: beyond the threshold a rebuild costs less than
+		// patching nearly everyone's neighbourhood.
+		base := len(ids)
+		if p := len(d.live); p > base {
+			base = p
+		}
+		changed := len(d.moved) + len(d.arrived) + len(d.departed)
+		thresh := d.thresh
+		if thresh == 0 {
+			thresh = DefaultChurnThreshold
+		}
+		rebuild = thresh < 0 || float64(changed) > thresh*float64(base)
+	}
+	added, removed := ws.stats.EdgesAdded, ws.stats.EdgesRemoved
+	if rebuild {
+		// A rebuild is the same patch from empty state: every avatar
+		// arrives, so slot == index and every edge is linked afresh.
+		ws.stats.FullRebuilds++
+		d.reset(r)
+		d.diff(ids, ps)
+	} else {
+		ws.stats.Incremental++
+	}
+	ws.patch(ids, ps, r)
+	if rebuild {
+		// The edge counters describe incremental work only.
+		ws.stats.EdgesAdded, ws.stats.EdgesRemoved = added, removed
+	}
+	ws.translate(len(ids))
+	d.active = true
+	return &ws.g
+}
+
+// reset empties the slot state — no avatars, no edges, every slot free
+// with the lowest on top, so a rebuild's arrivals get slot == index —
+// and rekeys it to range r. Buffers are kept.
+//
+//slmob:hotpath
+func (d *deltaState) reset(r float64) {
+	d.r = r
+	if d.idOf == nil {
+		d.idOf = make(map[uint64]int32)
+	}
+	clear(d.idOf)
+	d.free = d.free[:0]
+	for s := len(d.id) - 1; s >= 0; s-- {
+		d.nbr[s] = d.nbr[s][:0]
+		d.tri[s] = 0
+		d.diamOK[s] = false
+		d.free = append(d.free, int32(s))
+	}
+	d.live = d.live[:0]
+	if d.grid == nil || d.grid.CellSize() != r {
+		d.grid = geom.NewGrid(r)
+	} else {
+		d.grid.Reset()
+	}
+	d.ok = true
+}
+
+// diff classifies the snapshot against the slot state: every avatar is
+// unchanged, moved, or arrived, and every previously live slot not seen
+// this epoch has departed.
+//
+//slmob:hotpath
+func (d *deltaState) diff(ids []uint64, ps []geom.Vec) {
+	n := len(ids)
 	d.slotOf = growInt32(d.slotOf, n)
 	d.moved = d.moved[:0]
 	d.arrived = d.arrived[:0]
@@ -172,70 +255,60 @@ func (ws *Workspace) ApplyPositions(ids []uint64, ps []geom.Vec, r float64) *Gra
 			d.departed = append(d.departed, s)
 		}
 	}
-	ws.stats.Moved += int64(len(d.moved))
-	ws.stats.Arrived += int64(len(d.arrived))
-	ws.stats.Departed += int64(len(d.departed))
+}
 
-	// Churn heuristic: beyond the threshold a scratch rebuild costs less
-	// than patching nearly everyone's neighbourhood.
-	base := n
-	if p := len(d.live); p > base {
-		base = p
-	}
-	changed := len(d.moved) + len(d.arrived) + len(d.departed)
-	thresh := d.thresh
-	if thresh == 0 {
-		thresh = DefaultChurnThreshold
-	}
-	if thresh < 0 || float64(changed) > thresh*float64(base) {
-		return ws.rebuildDelta(ids, ps, r)
-	}
-	ws.stats.Incremental++
-
-	// Departures: detach, drop from the grid, recycle the slot.
+// patch applies the diff to the slot state. Departures lose their edges
+// and their slot; arrivals take a slot; the grid is brought fully up to
+// date before any neighbourhood is queried, so the edge predicate is
+// fixed and each arrival's and mover's edge diff is final whatever the
+// order — a pair of two dirty slots is settled by whichever is patched
+// first and is a no-op for the other.
+//
+//slmob:hotpath
+func (ws *Workspace) patch(ids []uint64, ps []geom.Vec, r float64) {
+	d := &ws.d
+	d.cand = d.cand[:0]
 	for _, s := range d.departed {
-		ws.detachSlot(s)
+		ws.diffSlot(s) // against the empty candidate set: unlink everything
+		d.diamOK[s] = false
 		d.grid.Remove(int64(s), d.pos[s])
 		delete(d.idOf, d.id[s])
 		d.free = append(d.free, s)
 	}
-	// Arrivals: allocate a slot, insert into the grid, mark dirty.
-	d.dirty = d.dirty[:0]
 	for _, i := range d.arrived {
 		s := d.allocSlot()
 		d.id[s] = ids[i]
 		d.idOf[ids[i]] = s
 		d.pos[s] = ps[i]
 		d.seen[s] = d.epoch
+		d.chg[s] = d.epoch
 		d.slotOf[i] = s
 		d.idxOf[s] = i
 		d.grid.Insert(int64(s), ps[i])
-		d.markDirty(s)
 	}
-	// Moves: relocate in the grid, mark dirty.
 	for _, i := range d.moved {
 		s := d.slotOf[i]
 		d.grid.Move(int64(s), d.pos[s], ps[i])
 		d.pos[s] = ps[i]
-		d.markDirty(s)
 	}
 	d.live = d.live[:0]
-	for i := 0; i < n; i++ {
+	for i := range ids {
 		d.live = append(d.live, d.slotOf[i])
 	}
-
-	// Edge patch. First detach every dirty slot (so re-adds cannot
-	// duplicate), then re-derive each dirty slot's neighbourhood from the
-	// patched grid. A dirty-dirty pair is emitted once, from the
-	// lower-numbered slot.
-	for _, s := range d.dirty {
-		ws.detachSlot(s)
+	for _, i := range d.arrived {
+		ws.relinkSlot(d.slotOf[i], r)
 	}
-	for _, s := range d.dirty {
-		ws.relinkSlot(s, r)
+	for _, i := range d.moved {
+		ws.relinkSlot(d.slotOf[i], r)
 	}
+}
 
-	// Translate the slot-space adjacency into the index-space CSR arena.
+// translate rewrites the slot-space adjacency of the n current avatars
+// into the index-space CSR arena and points ws.g at it.
+//
+//slmob:hotpath
+func (ws *Workspace) translate(n int) {
+	d := &ws.d
 	if cap(ws.adj) < n {
 		ws.adj = make([][]int32, n, n+n/2+8)
 	}
@@ -256,85 +329,6 @@ func (ws *Workspace) ApplyPositions(ids []uint64, ps []geom.Vec, r float64) *Gra
 		ws.adj[i] = ws.arena[ws.off[i]:ws.off[i+1]:ws.off[i+1]]
 	}
 	ws.g = Graph{adj: ws.adj, m: int(m2) / 2}
-	d.active = true
-	return &ws.g
-}
-
-// rebuildDelta builds the slot state from scratch with slot == index —
-// the first-call path and the churn fallback. The scratch grid pass is
-// the same two-pass build FromPositions runs; on top of it the slot
-// tables, the persistent grid, and the (invalidated) metric caches are
-// refilled so the next call can patch incrementally.
-//
-//slmob:hotpath
-func (ws *Workspace) rebuildDelta(ids []uint64, ps []geom.Vec, r float64) *Graph {
-	ws.stats.FullRebuilds++
-	d := &ws.d
-	n := len(ids)
-	d.epoch++
-	d.r = r
-	d.ensureSlots(n)
-	if d.idOf == nil {
-		d.idOf = make(map[uint64]int32, n)
-	}
-	clear(d.idOf)
-	// Slots beyond the population are parked on the free list, keeping
-	// their neighbour buffers for later growth; lowest slot on top.
-	d.free = d.free[:0]
-	for s := len(d.id) - 1; s >= n; s-- {
-		d.nbr[s] = d.nbr[s][:0]
-		d.ccOK[s] = false
-		d.diamOK[s] = false
-		d.free = append(d.free, int32(s))
-	}
-	d.live = d.live[:0]
-	d.slotOf = growInt32(d.slotOf, n)
-	if d.grid == nil || d.grid.CellSize() != r {
-		d.grid = geom.NewGrid(r)
-	} else {
-		d.grid.Reset()
-	}
-	for i := 0; i < n; i++ {
-		d.id[i] = ids[i]
-		d.idOf[ids[i]] = int32(i)
-		d.pos[i] = ps[i]
-		d.seen[i] = d.epoch
-		d.idxOf[i] = int32(i)
-		d.ccOK[i] = false
-		d.diamOK[i] = false
-		d.slotOf[i] = int32(i)
-		d.live = append(d.live, int32(i))
-		d.grid.Insert(int64(i), ps[i])
-	}
-
-	// Scratch edge pass into the CSR arena, as FromPositions does.
-	if cap(ws.adj) < n {
-		ws.adj = make([][]int32, n, n+n/2+8)
-	}
-	ws.adj = ws.adj[:n]
-	ws.g = Graph{adj: ws.adj}
-	ws.pairs = ws.pairs[:0]
-	for i := 0; i < n; i++ {
-		d.grid.VisitWithin(ps[i], r, func(oid int64, _ geom.Vec) bool {
-			if j := int32(oid); int(j) > i {
-				ws.pairs = append(ws.pairs, int32(i), j)
-			}
-			return true
-		})
-	}
-	ws.buildCSR(n)
-	// Mirror the adjacency into the mutable slot-space lists.
-	for i := 0; i < n; i++ {
-		lst := d.nbr[i]
-		lst = lst[:0]
-		for _, v := range ws.adj[i] {
-			lst = append(lst, v)
-		}
-		d.nbr[i] = lst
-	}
-	d.ok = true
-	d.active = true
-	return &ws.g
 }
 
 // ensureSlots grows every slot-indexed table to at least n entries,
@@ -346,19 +340,21 @@ func (d *deltaState) ensureSlots(n int) {
 		d.id = append(d.id, 0)
 		d.pos = append(d.pos, geom.Vec{})
 		d.nbr = append(d.nbr, nil)
+		d.tri = append(d.tri, 0)
 		d.seen = append(d.seen, 0)
-		d.dirtG = append(d.dirtG, 0)
+		d.chg = append(d.chg, 0)
 		d.idxOf = append(d.idxOf, -1)
-		d.cc = append(d.cc, 0)
-		d.ccOK = append(d.ccOK, false)
 		d.diam = append(d.diam, 0)
 		d.diamOK = append(d.diamOK, false)
+		d.inN = append(d.inN, 0)
+		d.inNew = append(d.inNew, 0)
 	}
 }
 
 // allocSlot hands out a recycled slot, or a fresh one when the free list
-// is empty. Fresh slots start with cleared caches by construction;
-// recycled slots were cleared when freed.
+// is empty. Every free slot has no edges, no triangles and a cleared
+// diameter flag: fresh slots by construction, recycled ones because their
+// departure unlinked them.
 //
 //slmob:hotpath
 func (d *deltaState) allocSlot() int32 {
@@ -372,128 +368,144 @@ func (d *deltaState) allocSlot() int32 {
 	return s
 }
 
-// markDirty queues a slot for edge recomputation, once per call.
+// nextStamp returns a membership stamp no inN/inNew entry holds yet. On
+// int32 wrap-around both tables are cleared, so stale entries can never
+// collide with a live stamp.
 //
 //slmob:hotpath
-func (d *deltaState) markDirty(s int32) {
-	if d.dirtG[s] != d.epoch {
-		d.dirtG[s] = d.epoch
-		d.dirty = append(d.dirty, s)
+func (d *deltaState) nextStamp() int32 {
+	if d.stamp == math.MaxInt32 {
+		clear(d.inN)
+		clear(d.inNew)
+		d.stamp = 0
 	}
+	d.stamp++
+	return d.stamp
 }
 
-// detachSlot removes every edge incident to s and invalidates the metric
-// caches the removals can affect: s itself and each ex-neighbour. (A
-// vertex whose clustering depends on a removed edge {s, o} is adjacent to
-// s, so the N_old(s) sweep covers all third parties.)
-//
-//slmob:hotpath
-func (ws *Workspace) detachSlot(s int32) {
-	d := &ws.d
-	for _, o := range d.nbr[s] {
-		lst := d.nbr[o]
-		for k := range lst {
-			if lst[k] == s {
-				last := len(lst) - 1
-				lst[k] = lst[last]
-				d.nbr[o] = lst[:last]
-				break
-			}
-		}
-		d.ccOK[o] = false
-		d.diamOK[o] = false
-	}
-	ws.stats.EdgesRemoved += int64(len(d.nbr[s]))
-	d.nbr[s] = d.nbr[s][:0]
-	d.ccOK[s] = false
-	d.diamOK[s] = false
-}
-
-// relinkSlot re-derives s's neighbourhood from the patched grid. Edges to
-// non-dirty slots are added unconditionally (s was detached, so no
-// duplicate can exist); a dirty-dirty pair is added only from its
-// lower-numbered endpoint, since the higher one will see it too.
+// relinkSlot collects the slots within range of s from the patched grid
+// and diffs s's adjacency against them.
 //
 //slmob:hotpath
 func (ws *Workspace) relinkSlot(s int32, r float64) {
 	d := &ws.d
+	d.cand = d.cand[:0]
 	d.grid.VisitWithin(d.pos[s], r, func(oid int64, _ geom.Vec) bool {
-		o := int32(oid)
-		if o == s || (d.dirtG[o] == d.epoch && o < s) {
-			return true
+		if o := int32(oid); o != s {
+			d.cand = append(d.cand, o)
 		}
-		d.nbr[s] = append(d.nbr[s], o)
-		d.nbr[o] = append(d.nbr[o], s)
-		d.ccOK[s] = false
-		d.ccOK[o] = false
-		d.diamOK[s] = false
-		d.diamOK[o] = false
-		ws.stats.EdgesAdded++
 		return true
 	})
+	ws.diffSlot(s)
+}
+
+// diffSlot makes s's neighbour set equal to d.cand, unlinking the edges
+// that left it and linking the ones that joined; edges present in both
+// are not touched, so their endpoints keep their triangle counts and
+// diameter flags.
+//
+//slmob:hotpath
+func (ws *Workspace) diffSlot(s int32) {
+	d := &ws.d
+	st := d.nextStamp()
+	for _, o := range d.nbr[s] {
+		d.inN[o] = st
+	}
+	for _, o := range d.cand {
+		d.inNew[o] = st
+	}
+	for k := 0; k < len(d.nbr[s]); {
+		o := d.nbr[s][k]
+		if d.inNew[o] == st {
+			k++
+			continue
+		}
+		d.inN[o] = 0
+		ws.shiftTriangles(s, o, st, -1)
+		last := len(d.nbr[s]) - 1
+		d.nbr[s][k] = d.nbr[s][last]
+		d.nbr[s] = d.nbr[s][:last]
+		lst := d.nbr[o]
+		for j := range lst {
+			if lst[j] == s {
+				last := len(lst) - 1
+				lst[j] = lst[last]
+				d.nbr[o] = lst[:last]
+				break
+			}
+		}
+		ws.stats.EdgesRemoved++
+	}
+	for _, o := range d.cand {
+		if d.inN[o] == st {
+			continue
+		}
+		ws.shiftTriangles(s, o, st, 1)
+		d.nbr[s] = append(d.nbr[s], o)
+		d.nbr[o] = append(d.nbr[o], s)
+		d.inN[o] = st
+		ws.stats.EdgesAdded++
+	}
+}
+
+// shiftTriangles accounts for adding (delta = 1) or removing (delta = -1)
+// the edge {s, o}: every common neighbour w closes or opens the triangle
+// {s, o, w}, so w gains or loses one triangle and s and o one each per
+// common neighbour. inN must stamp s's neighbours other than o with st.
+// Both endpoints' degrees change, so both are marked changed and lose
+// their diameter flags.
+//
+//slmob:hotpath
+func (ws *Workspace) shiftTriangles(s, o, st, delta int32) {
+	d := &ws.d
+	common := int32(0)
+	for _, w := range d.nbr[o] {
+		if d.inN[w] == st {
+			common++
+			d.tri[w] += delta
+			d.chg[w] = d.epoch
+		}
+	}
+	d.tri[s] += delta * common
+	d.tri[o] += delta * common
+	d.chg[s] = d.epoch
+	d.chg[o] = d.epoch
+	d.diamOK[s] = false
+	d.diamOK[o] = false
 }
 
 // deltaDiameter answers Diameter for an ApplyPositions-built graph:
 // ws.best already holds the largest component (current indices). When
 // every member's slot carries a valid cached diameter, the component is
-// unchanged since the cache was filled — any structural change clears at
-// least one member's flag — and the cached value is returned. Otherwise
-// the all-pairs BFS runs with distance resets restricted to the
-// component (O(|C|²) instead of O(|C|·n)) and refills the cache.
+// unchanged since the cache was filled — adding or removing any edge
+// clears both endpoints' flags, so every split, merge or departure
+// clears at least one member's — and the cached value is returned.
+// Otherwise the bounded-eccentricity search runs and refills the cache.
 //
 //slmob:hotpath
 func (ws *Workspace) deltaDiameter() int {
 	d := &ws.d
-	g := &ws.g
-	cached := true
 	for _, u := range ws.best {
 		if !d.diamOK[d.slotOf[u]] {
-			cached = false
-			break
-		}
-	}
-	if cached {
-		ws.stats.DiamReused++
-		return int(d.diam[d.slotOf[ws.best[0]]])
-	}
-	ws.stats.DiamComputed++
-	diam := int32(0)
-	for _, src := range ws.best {
-		for _, u := range ws.best {
-			ws.dist[u] = -1
-		}
-		ws.dist[src] = 0
-		ws.queue = ws.queue[:0]
-		ws.queue = append(ws.queue, src)
-		for qi := 0; qi < len(ws.queue); qi++ {
-			u := ws.queue[qi]
-			du := ws.dist[u]
-			for _, v := range g.adj[u] {
-				if ws.dist[v] < 0 {
-					ws.dist[v] = du + 1
-					ws.queue = append(ws.queue, v)
-					if du+1 > diam {
-						diam = du + 1
-					}
-				}
+			ws.stats.DiamComputed++
+			diam := ws.eccDiameter()
+			for _, u := range ws.best {
+				s := d.slotOf[u]
+				d.diam[s] = diam
+				d.diamOK[s] = true
 			}
+			return int(diam)
 		}
 	}
-	for _, u := range ws.best {
-		s := d.slotOf[u]
-		d.diam[s] = diam
-		d.diamOK[s] = true
-	}
-	return int(diam)
+	ws.stats.DiamReused++
+	return int(d.diam[d.slotOf[ws.best[0]]])
 }
 
 // deltaMeanClustering answers MeanClustering for an ApplyPositions-built
-// graph, reusing each vertex's cached coefficient unless an edge change
-// touched its two-hop neighbourhood. Invalidated coefficients are
-// recomputed with a neighbour-stamp sweep — O(Σ deg(v) over v ∈ N(u))
-// instead of LocalClustering's pairwise HasEdge scans — which counts
-// exactly the same integer number of links, so the coefficient, the sum
-// order, and the result are all bit-identical to Graph.MeanClustering.
+// graph from the maintained triangle counts: vertex u's coefficient is
+// 2·tri/(k(k−1)), the same integer link count over the same expression
+// Graph.LocalClustering evaluates, summed in the same index order, so the
+// result is bit-identical to Graph.MeanClustering in O(n).
 //
 //slmob:hotpath
 func (ws *Workspace) deltaMeanClustering() float64 {
@@ -503,38 +515,20 @@ func (ws *Workspace) deltaMeanClustering() float64 {
 		return 0
 	}
 	d := &ws.d
-	d.ccStamp = growInt32(d.ccStamp, n)
-	for i := range d.ccStamp {
-		d.ccStamp[i] = 0
-	}
 	sum := 0.0
 	for u := 0; u < n; u++ {
 		s := d.slotOf[u]
-		if d.ccOK[s] {
-			ws.stats.CCReused++
-		} else {
-			nbrs := g.adj[u]
-			c := 0.0
-			if k := len(nbrs); k >= 2 {
-				st := int32(u) + 1
-				for _, v := range nbrs {
-					d.ccStamp[v] = st
-				}
-				links := 0
-				for _, v := range nbrs {
-					for _, w := range g.adj[v] {
-						if w > v && d.ccStamp[w] == st {
-							links++
-						}
-					}
-				}
-				c = 2 * float64(links) / float64(k*(k-1))
-			}
-			d.cc[s] = c
-			d.ccOK[s] = true
+		if d.chg[s] > d.ccEpoch {
 			ws.stats.CCComputed++
+		} else {
+			ws.stats.CCReused++
 		}
-		sum += d.cc[s]
+		c := 0.0
+		if k := len(g.adj[u]); k >= 2 {
+			c = 2 * float64(d.tri[s]) / float64(k*(k-1))
+		}
+		sum += c
 	}
+	d.ccEpoch = d.epoch
 	return sum / float64(n)
 }

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -213,44 +214,277 @@ func TestApplyPositionsRangeChange(t *testing.T) {
 	}
 }
 
-// TestApplyPositionsComponentReuse pins the metric-reuse machinery: on a
-// static population every Diameter call after the first is served from
-// the component cache and every clustering coefficient from the vertex
-// cache; moving one far-away isolate must not invalidate the main
-// component's caches.
+// TestApplyPositionsComponentReuse pins the counter meanings of the
+// incremental engine: on a static population every Diameter call after
+// the first is served from the component cache and only the first build
+// counts its vertices as CCComputed; moving a far-away isolate or
+// jittering a cluster member without changing an edge adds no edge
+// patches, keeps the diameter cached and changes no vertex's degree or
+// triangle count; a move that breaks edges recomputes the diameter and
+// counts exactly the vertices whose degree or triangle count changed.
 func TestApplyPositionsComponentReuse(t *testing.T) {
 	ws := NewWorkspace()
-	// A connected cluster plus one distant isolate.
+	// A K4 cluster plus one distant isolate.
 	ps := []geom.Vec{
-		geom.V2(50, 50), geom.V2(55, 50), geom.V2(50, 55), geom.V2(58, 56),
+		geom.V2(50, 50), geom.V2(55, 50), geom.V2(50, 55), geom.V2(57, 56),
 		geom.V2(230, 230),
 	}
 	ids := []uint64{1, 2, 3, 4, 99}
-	for step := 0; step < 5; step++ {
+	step := func() {
+		t.Helper()
 		ws.ApplyPositions(ids, ps, 10)
 		ws.Diameter()
 		ws.MeanClustering()
+	}
+	for i := 0; i < 5; i++ {
+		step()
 	}
 	st := ws.Stats()
 	if st.DiamComputed != 1 || st.DiamReused != 4 {
 		t.Fatalf("static population: diameter computed %d / reused %d, want 1/4", st.DiamComputed, st.DiamReused)
 	}
-	if st.CCComputed != 5 {
-		t.Fatalf("static population: %d clustering coefficients computed, want 5", st.CCComputed)
+	if st.CCComputed != 5 || st.CCReused != 20 {
+		t.Fatalf("static population: CC computed %d / reused %d, want 5/20", st.CCComputed, st.CCReused)
 	}
-	// Move the isolate: the cluster's caches must survive.
+	// Move the isolate, then jitter a cluster member: avatars moved, but
+	// no edge, degree or triangle count changed.
 	ps[4] = geom.V2(200, 200)
-	ws.ApplyPositions(ids, ps, 10)
-	ws.Diameter()
-	ws.MeanClustering()
+	step()
+	ps[0] = geom.V2(50.01, 49.99)
+	step()
 	st = ws.Stats()
-	if st.DiamComputed != 1 || st.DiamReused != 5 {
-		t.Fatalf("isolate move invalidated the main component: computed %d / reused %d", st.DiamComputed, st.DiamReused)
+	if st.Moved != 2 || st.EdgesAdded != 0 || st.EdgesRemoved != 0 {
+		t.Fatalf("edge-preserving moves patched edges: %+v", st)
 	}
-	if st.CCComputed != 6 { // only the isolate recomputes
-		t.Fatalf("isolate move recomputed %d coefficients, want 6 total", st.CCComputed)
+	if st.DiamComputed != 1 || st.DiamReused != 6 {
+		t.Fatalf("edge-preserving moves invalidated the main component: computed %d / reused %d", st.DiamComputed, st.DiamReused)
 	}
-	checkParity(t, 6, ws, ps, 10)
+	if st.CCComputed != 5 || st.CCReused != 30 {
+		t.Fatalf("edge-preserving moves: CC computed %d / reused %d, want 5/30", st.CCComputed, st.CCReused)
+	}
+	checkParity(t, 7, ws, ps, 10)
+	// Pull member 4 out of range of 1 and 3 but not 2: two edges go, the
+	// four cluster vertices change degree or triangle count, the isolate
+	// does not (reused count includes checkParity's MeanClustering call).
+	ps[3] = geom.V2(63, 52)
+	step()
+	st = ws.Stats()
+	if st.EdgesAdded != 0 || st.EdgesRemoved != 2 {
+		t.Fatalf("member move: edges added %d / removed %d, want 0/2", st.EdgesAdded, st.EdgesRemoved)
+	}
+	if st.DiamComputed != 2 {
+		t.Fatalf("member move must recompute the diameter: %+v", st)
+	}
+	if st.CCComputed != 9 || st.CCReused != 36 {
+		t.Fatalf("member move: CC computed %d / reused %d, want 9/36", st.CCComputed, st.CCReused)
+	}
+	checkParity(t, 8, ws, ps, 10)
+}
+
+// recountTriangles is the from-scratch oracle for the maintained counts:
+// for every vertex, the number of neighbour pairs joined by an edge,
+// probed with Graph.HasEdge.
+func recountTriangles(g *Graph, u int) int32 {
+	nb := g.Neighbors(u)
+	links := int32(0)
+	for i := range nb {
+		for j := i + 1; j < len(nb); j++ {
+			if g.HasEdge(int(nb[i]), int(nb[j])) {
+				links++
+			}
+		}
+	}
+	return links
+}
+
+// checkTriangles asserts that every live slot's maintained triangle
+// count equals a from-scratch recount, and that every free slot is
+// empty.
+func checkTriangles(t *testing.T, step int, ws *Workspace) {
+	t.Helper()
+	g, d := ws.Graph(), &ws.d
+	for u := 0; u < g.N(); u++ {
+		s := d.slotOf[u]
+		if got, want := d.tri[s], recountTriangles(g, u); got != want {
+			t.Fatalf("step %d: vertex %d (slot %d) has %d triangles, recount %d", step, u, s, got, want)
+		}
+	}
+	for _, s := range d.free {
+		if len(d.nbr[s]) != 0 || d.tri[s] != 0 {
+			t.Fatalf("step %d: free slot %d keeps %d neighbours / %d triangles", step, s, len(d.nbr[s]), d.tri[s])
+		}
+	}
+}
+
+// TestTriangleCountsDifferential checks the maintained per-slot triangle
+// counts against a recount after every ApplyPositions: across churn
+// regimes and fallback thresholds (always-incremental, default, twitchy,
+// always-rebuild), both paper ranges, range flips, interleaved
+// population sizes, and mass departures followed by mass returns.
+func TestTriangleCountsDifferential(t *testing.T) {
+	for _, thresh := range []float64{1.0, 0, 0.05, -1} {
+		for _, r := range []float64{10, 80} {
+			sim := newDeltaSim(uint64(r)*7+uint64(thresh*100+1), 70)
+			ws := NewWorkspace()
+			ws.SetChurnThreshold(thresh)
+			for step := 0; step < 150; step++ {
+				switch {
+				case step == 50:
+					// Mass departure: all but a handful log out at once.
+					sim.ids, sim.pos = sim.ids[:5], sim.pos[:5]
+				case step > 50 && step < 60:
+					for k := 0; k < 8; k++ {
+						sim.login()
+					}
+				default:
+					sim.step(0.02, 0.5, 0.02, 0.3)
+				}
+				rr := r
+				if step%40 == 39 {
+					rr = 90 - r // a range flip forces a rebuild, then back
+				}
+				ws.ApplyPositions(sim.ids, sim.pos, rr)
+				checkTriangles(t, step, ws)
+				if gc, wc := ws.MeanClustering(), ws.Graph().MeanClustering(); gc != wc {
+					t.Fatalf("thresh=%v r=%v step %d: clustering = %v, oracle %v", thresh, rr, step, gc, wc)
+				}
+			}
+		}
+	}
+	// Interleaved sizes, including collapse to zero and one.
+	ws := NewWorkspace()
+	ws.SetChurnThreshold(1)
+	for step, n := range []int{80, 3, 150, 0, 1, 40, 200, 2, 97, 97} {
+		ids := make([]uint64, n)
+		for i := range ids {
+			ids[i] = uint64(i + 1)
+		}
+		ws.ApplyPositions(ids, wsPositions(n, uint64(step)), 10)
+		checkTriangles(t, step, ws)
+	}
+}
+
+// eccGraph builds a graph from an edge list over n vertices.
+func eccGraph(t *testing.T, n int, edges ...[2]int) *Graph {
+	t.Helper()
+	g := New(n)
+	for _, e := range edges {
+		if err := g.AddEdge(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return g
+}
+
+// pathEdges returns the edges of the path lo-(lo+1)-...-hi.
+func pathEdges(lo, hi int) [][2]int {
+	var es [][2]int
+	for u := lo; u < hi; u++ {
+		es = append(es, [2]int{u, u + 1})
+	}
+	return es
+}
+
+// TestEccDiameterDifferential checks the bounded-eccentricity diameter
+// against the all-pairs Graph.Diameter oracle on structured families —
+// paths, cycles, stars, barbells, grids, trees, 1–2-vertex components,
+// largest-component ties in both orders — and on seeded random graphs
+// from sparse to dense. One workspace serves every case, so buffer reuse
+// across sizes is covered too.
+func TestEccDiameterDifferential(t *testing.T) {
+	ws := NewWorkspace()
+	check := func(name string, g *Graph) {
+		t.Helper()
+		ws.FromPositions(nil, 0) // drop any incremental state
+		ws.g = Graph{adj: g.adj, m: g.m}
+		if got, want := ws.Diameter(), g.Diameter(); got != want {
+			t.Fatalf("%s: diameter = %d, oracle %d", name, got, want)
+		}
+	}
+	check("empty", New(0))
+	check("single", New(1))
+	check("two isolates", New(2))
+	check("edge", eccGraph(t, 2, [2]int{0, 1}))
+	check("edge plus isolates", eccGraph(t, 5, [2]int{3, 1}))
+	for _, n := range []int{3, 4, 5, 10, 31, 64} {
+		check(fmt.Sprintf("path%d", n), eccGraph(t, n, pathEdges(0, n-1)...))
+		check(fmt.Sprintf("cycle%d", n), eccGraph(t, n, append(pathEdges(0, n-1), [2]int{n - 1, 0})...))
+		var star [][2]int
+		for v := 1; v < n; v++ {
+			star = append(star, [2]int{0, v})
+		}
+		check(fmt.Sprintf("star%d", n), eccGraph(t, n, star...))
+		// Barbell: two n-cliques joined by a 3-edge path.
+		var bar [][2]int
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				bar = append(bar, [2]int{u, v}, [2]int{n + 2 + u, n + 2 + v})
+			}
+		}
+		bar = append(bar, [2]int{n - 1, n}, [2]int{n, n + 1}, [2]int{n + 1, n + 2})
+		check(fmt.Sprintf("barbell%d", n), eccGraph(t, 2*n+2, bar...))
+	}
+	for _, wh := range [][2]int{{1, 7}, {2, 2}, {3, 9}, {6, 6}, {5, 12}} {
+		w, h := wh[0], wh[1]
+		var grid [][2]int
+		for y := 0; y < h; y++ {
+			for x := 0; x < w; x++ {
+				if x+1 < w {
+					grid = append(grid, [2]int{y*w + x, y*w + x + 1})
+				}
+				if y+1 < h {
+					grid = append(grid, [2]int{y*w + x, (y+1)*w + x})
+				}
+			}
+		}
+		check(fmt.Sprintf("grid%dx%d", w, h), eccGraph(t, w*h, grid...))
+	}
+	// Largest-component ties: a 4-path (diameter 3) and a 4-star
+	// (diameter 2); whichever is seen first must decide, in both orders.
+	pathFirst := eccGraph(t, 8, append(pathEdges(0, 3), [2]int{4, 5}, [2]int{4, 6}, [2]int{4, 7})...)
+	starFirst := eccGraph(t, 8, append(pathEdges(4, 7), [2]int{0, 1}, [2]int{0, 2}, [2]int{0, 3})...)
+	check("tie path first", pathFirst)
+	check("tie star first", starFirst)
+	if pathFirst.Diameter() != 3 || starFirst.Diameter() != 2 {
+		t.Fatal("tie fixtures do not distinguish the two components")
+	}
+
+	state := uint64(12345)
+	rnd := func() uint64 {
+		state = state*6364136223846793005 + 1442695040888963407
+		return state >> 33
+	}
+	for trial := 0; trial < 400; trial++ {
+		n := 2 + int(rnd()%90)
+		g := New(n)
+		switch trial % 3 {
+		case 0: // Erdős–Rényi from below to well above the giant-component threshold
+			p := float64(rnd()%1000) / 1000 * 6 / float64(n)
+			for u := 0; u < n; u++ {
+				for v := u + 1; v < n; v++ {
+					if float64(rnd()%1000000)/1000000 < p {
+						g.AddEdgeUnchecked(u, v)
+					}
+				}
+			}
+		case 1: // random tree plus a few chords: long paths, many peripheral vertices
+			for v := 1; v < n; v++ {
+				g.AddEdgeUnchecked(int(rnd()%uint64(v)), v)
+			}
+			for k := 0; k < int(rnd()%4); k++ {
+				_ = g.AddEdge(int(rnd()%uint64(n)), int(rnd()%uint64(n)))
+			}
+		default: // dense random graph
+			for u := 0; u < n; u++ {
+				for v := u + 1; v < n; v++ {
+					if rnd()%3 == 0 {
+						g.AddEdgeUnchecked(u, v)
+					}
+				}
+			}
+		}
+		check(fmt.Sprintf("random trial %d (n=%d)", trial, n), g)
+	}
 }
 
 // deltaAllocFrames precomputes a cycle of snapshots over a stable
@@ -277,31 +511,46 @@ func deltaAllocFrames(n, frames int) (ids []uint64, frame [][]geom.Vec) {
 }
 
 // TestApplyPositionsZeroAllocSteadyState pins the tentpole contract on
-// the delta path: once warmed, an incremental snapshot — diff, grid
-// moves, edge patch, diameter, clustering — allocates nothing.
+// the delta path: once warmed, an ApplyPositions → Diameter →
+// MeanClustering cycle — diff, grid moves, edge diff, triangle updates,
+// bounded diameter, clustering — allocates nothing, both with walkers
+// making and breaking edges and with paused avatars' micro-jitter
+// dirtying slots whose edges do not change.
 func TestApplyPositionsZeroAllocSteadyState(t *testing.T) {
-	ws := NewWorkspace()
 	ids, frames := deltaAllocFrames(120, 8)
-	for cycle := 0; cycle < 3; cycle++ {
-		for _, ps := range frames {
-			ws.ApplyPositions(ids, ps, 10)
-			ws.Diameter()
-			ws.MeanClustering()
+	jitter := make([][]geom.Vec, len(frames))
+	for f, ps := range frames {
+		jitter[f] = slices.Clone(ps)
+		for i := 1; i < len(ps); i += 3 {
+			jitter[f][i].X += 0.01 * float64(f%2)
 		}
 	}
-	f := 0
-	avg := testing.AllocsPerRun(100, func() {
-		ws.ApplyPositions(ids, frames[f%len(frames)], 10)
-		_ = ws.Diameter()
-		_ = ws.MeanClustering()
-		f++
-	})
-	if avg != 0 {
-		t.Errorf("steady-state ApplyPositions allocates %v per snapshot, want 0", avg)
-	}
-	st := ws.Stats()
-	if st.Incremental == 0 || st.FullRebuilds != 1 {
-		t.Fatalf("pin did not exercise the incremental path: %+v", st)
+	for _, tc := range []struct {
+		name   string
+		frames [][]geom.Vec
+	}{{"walkers", frames}, {"walkers+jitter", jitter}} {
+		ws := NewWorkspace()
+		for cycle := 0; cycle < 3; cycle++ {
+			for _, ps := range tc.frames {
+				ws.ApplyPositions(ids, ps, 10)
+				ws.Diameter()
+				ws.MeanClustering()
+			}
+		}
+		f := 0
+		avg := testing.AllocsPerRun(100, func() {
+			ws.ApplyPositions(ids, tc.frames[f%len(tc.frames)], 10)
+			_ = ws.Diameter()
+			_ = ws.MeanClustering()
+			f++
+		})
+		if avg != 0 {
+			t.Errorf("%s: steady-state cycle allocates %v per snapshot, want 0", tc.name, avg)
+		}
+		st := ws.Stats()
+		if st.Incremental == 0 || st.FullRebuilds != 1 {
+			t.Fatalf("%s: pin did not exercise the incremental path: %+v", tc.name, st)
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"math"
+
 	"slmob/internal/geom"
 )
 
@@ -14,11 +16,11 @@ import (
 //
 // Two build modes share the storage. FromPositions rebuilds the graph
 // from scratch every call; ApplyPositions (delta.go) diffs the snapshot
-// against the previous one and patches only what moved, reusing cached
-// per-vertex clustering and per-component diameters for the untouched
-// remainder. Both modes produce graphs with identical edge sets, and
-// every metric computed from them — degrees, diameter, clustering — is
-// bit-identical between the two.
+// against the previous one and applies only the edges that changed,
+// maintaining per-vertex triangle counts and reusing the largest
+// component's diameter while it is untouched. Both modes produce graphs
+// with identical edge sets, and every metric computed from them —
+// degrees, diameter, clustering — is bit-identical between the two.
 //
 // The *Graph returned by FromPositions or ApplyPositions aliases the
 // workspace's arena and is valid only until the next build call.
@@ -39,6 +41,10 @@ type Workspace struct {
 	seen  []bool
 	comp  []int32 // current component under construction
 	best  []int32 // largest component seen so far
+	// Eccentricity bounds and the unsettled members for eccDiameter.
+	eccLo []int32
+	eccHi []int32
+	open  []int32
 
 	// Incremental (temporal-coherence) state for ApplyPositions.
 	d     deltaState
@@ -152,9 +158,9 @@ func (ws *Workspace) buildCSR(n int) {
 
 // Diameter computes the longest shortest path within the largest
 // connected component of the workspace's current graph — the same value
-// Graph.Diameter returns — using the shared BFS buffers instead of
-// per-call allocations. After an ApplyPositions build it reuses the
-// previous snapshot's result when the largest component is untouched.
+// Graph.Diameter returns — with a bounded-eccentricity search over the
+// shared BFS buffers (see eccDiameter). After an ApplyPositions build it
+// reuses the previous result when the largest component is untouched.
 //
 //slmob:hotpath
 func (ws *Workspace) Diameter() int {
@@ -204,30 +210,100 @@ func (ws *Workspace) Diameter() int {
 	if ws.d.active {
 		return ws.deltaDiameter()
 	}
+	return int(ws.eccDiameter())
+}
 
-	diam := int32(0)
-	for _, src := range ws.best {
-		for i := range ws.dist {
-			ws.dist[i] = -1
+// eccDiameter returns the diameter of the connected component ws.best by
+// Takes & Kosters' BoundingDiameters: every member carries lower and
+// upper bounds on its eccentricity; a BFS from v gives ecc(v) exactly
+// and tightens every member w's bounds to
+//
+//	max(ecc(v)−d(v,w), d(v,w)) ≤ ecc(w) ≤ ecc(v)+d(v,w).
+//
+// The diameter is the largest eccentricity, so the best lower bound so
+// far, lo, is a lower bound on it, and 2·ecc(v) an upper bound. A member
+// whose upper bound is at most lo can no longer raise the answer and is
+// dropped; the search ends when no member is left or the two diameter
+// bounds meet. BFS sources alternate between the smallest lower bound,
+// ties to the higher degree (a central vertex, whose eccentricity caps
+// everyone's), and the largest upper bound, ties to the lower degree (a
+// peripheral one, whose eccentricity may raise lo). That settles the
+// proximity graphs here in four to eight BFS runs instead of one per
+// member. The result is exact.
+//
+//slmob:hotpath
+func (ws *Workspace) eccDiameter() int32 {
+	g := &ws.g
+	n := len(g.adj)
+	ws.eccLo = growInt32(ws.eccLo, n)
+	ws.eccHi = growInt32(ws.eccHi, n)
+	ws.open = ws.open[:0]
+	for _, u := range ws.best {
+		ws.eccLo[u] = 0
+		ws.eccHi[u] = math.MaxInt32
+		ws.open = append(ws.open, u)
+	}
+	lo, hi := int32(0), int32(math.MaxInt32)
+	byHi := false // start from the highest-degree member
+	for len(ws.open) > 0 && lo < hi {
+		v := ws.open[0]
+		for _, w := range ws.open[1:] {
+			var better bool
+			if byHi {
+				better = ws.eccHi[w] > ws.eccHi[v] || ws.eccHi[w] == ws.eccHi[v] && len(g.adj[w]) < len(g.adj[v])
+			} else {
+				better = ws.eccLo[w] < ws.eccLo[v] || ws.eccLo[w] == ws.eccLo[v] && len(g.adj[w]) > len(g.adj[v])
+			}
+			if better {
+				v = w
+			}
 		}
-		ws.dist[src] = 0
-		ws.queue = ws.queue[:0]
-		ws.queue = append(ws.queue, src)
-		for qi := 0; qi < len(ws.queue); qi++ {
-			u := ws.queue[qi]
-			du := ws.dist[u]
-			for _, v := range g.adj[u] {
-				if ws.dist[v] < 0 {
-					ws.dist[v] = du + 1
-					ws.queue = append(ws.queue, v)
-					if du+1 > diam {
-						diam = du + 1
-					}
-				}
+		byHi = !byHi
+		ecc := ws.bfsEcc(v)
+		lo = max(lo, ecc)
+		hi = min(hi, 2*ecc)
+		k := 0
+		for _, w := range ws.open {
+			dw := ws.dist[w]
+			ws.eccLo[w] = max(ws.eccLo[w], ecc-dw, dw)
+			ws.eccHi[w] = min(ws.eccHi[w], ecc+dw)
+			lo = max(lo, ws.eccLo[w])
+			if ws.eccHi[w] > lo {
+				ws.open[k] = w
+				k++
+			}
+		}
+		ws.open = ws.open[:k]
+	}
+	return lo
+}
+
+// bfsEcc runs a BFS from src over the component ws.best, leaving hop
+// distances in ws.dist, and returns src's eccentricity. Distance resets
+// are restricted to the component: O(|C|) per run, not O(n).
+//
+//slmob:hotpath
+func (ws *Workspace) bfsEcc(src int32) int32 {
+	g := &ws.g
+	for _, u := range ws.best {
+		ws.dist[u] = -1
+	}
+	ws.dist[src] = 0
+	ws.queue = ws.queue[:0]
+	ws.queue = append(ws.queue, src)
+	ecc := int32(0)
+	for qi := 0; qi < len(ws.queue); qi++ {
+		u := ws.queue[qi]
+		du := ws.dist[u]
+		ecc = du
+		for _, v := range g.adj[u] {
+			if ws.dist[v] < 0 {
+				ws.dist[v] = du + 1
+				ws.queue = append(ws.queue, v)
 			}
 		}
 	}
-	return int(diam)
+	return ecc
 }
 
 // Graph returns the workspace's current graph — the value the latest
@@ -235,9 +311,8 @@ func (ws *Workspace) Diameter() int {
 func (ws *Workspace) Graph() *Graph { return &ws.g }
 
 // MeanClustering returns the mean Watts–Strogatz clustering coefficient
-// of the workspace's current graph. After an ApplyPositions build,
-// per-vertex coefficients cached from previous snapshots are reused for
-// every vertex whose two-hop neighbourhood is unchanged; the result is
+// of the workspace's current graph. After an ApplyPositions build it is
+// an O(n) pass over the maintained triangle counts; the result is
 // bit-identical to Graph.MeanClustering either way.
 func (ws *Workspace) MeanClustering() float64 {
 	if ws.d.active {

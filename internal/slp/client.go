@@ -143,18 +143,25 @@ func (c *Client) Err() error {
 	}
 }
 
+// fail records the terminal error, signals done, and closes the
+// connection, which unblocks the read loop. It leaves the delivery
+// channels to the read loop, their only sender.
 func (c *Client) fail(err error) {
 	c.errOnce.Do(func() {
 		c.err = err
 		close(c.done)
-		close(c.maps)
-		close(c.fullMaps)
-		close(c.chats)
 		c.conn.Close()
 	})
 }
 
 func (c *Client) readLoop() {
+	// Closing a channel another goroutine may be sending on panics, so
+	// the loop that sends on the delivery channels closes them, on exit.
+	defer func() {
+		close(c.maps)
+		close(c.fullMaps)
+		close(c.chats)
+	}()
 	for {
 		// The loop is the reader goroutine, so the before/after byte
 		// counts bracket exactly this message's frame.
