@@ -86,8 +86,7 @@ func (ws *Workspace) SetChurnThreshold(t float64) { ws.d.thresh = t }
 // slot, and each call translates the patched slot-space graph into the
 // workspace's index-space CSR arena.
 type deltaState struct {
-	ok     bool    // slot state mirrors the previous snapshot
-	active bool    // the latest build came through ApplyPositions
+	ok     bool    // the latest build came through ApplyPositions; slot state mirrors it
 	r      float64 // communication range the state is keyed to
 	thresh float64 // churn fallback threshold; 0 selects the default
 	epoch  int64   // ApplyPositions call counter, for generation stamps
@@ -194,7 +193,6 @@ func (ws *Workspace) ApplyPositions(ids []uint64, ps []geom.Vec, r float64) *Gra
 		ws.stats.EdgesAdded, ws.stats.EdgesRemoved = added, removed
 	}
 	ws.translate(len(ids))
-	d.active = true
 	return &ws.g
 }
 

@@ -81,7 +81,6 @@ func growInt32(buf []int32, n int) []int32 {
 //slmob:hotpath
 func (ws *Workspace) FromPositions(ps []geom.Vec, r float64) *Graph {
 	ws.d.ok = false
-	ws.d.active = false
 	n := len(ps)
 	if cap(ws.adj) < n {
 		ws.adj = make([][]int32, n, n+n/2+8)
@@ -207,7 +206,7 @@ func (ws *Workspace) Diameter() int {
 	if len(ws.best) < 2 {
 		return 0
 	}
-	if ws.d.active {
+	if ws.d.ok {
 		return ws.deltaDiameter()
 	}
 	return int(ws.eccDiameter())
@@ -315,7 +314,7 @@ func (ws *Workspace) Graph() *Graph { return &ws.g }
 // an O(n) pass over the maintained triangle counts; the result is
 // bit-identical to Graph.MeanClustering either way.
 func (ws *Workspace) MeanClustering() float64 {
-	if ws.d.active {
+	if ws.d.ok {
 		return ws.deltaMeanClustering()
 	}
 	return ws.g.MeanClustering()

@@ -130,7 +130,8 @@ func (c *Client) Maps() <-chan MapReply { return c.maps }
 // to observer sessions. It is closed when the connection dies.
 func (c *Client) FullMaps() <-chan MapReplyFull { return c.fullMaps }
 
-// Chats returns the channel of chat events heard near the avatar.
+// Chats returns the channel of chat events heard near the avatar. It is
+// closed when the connection dies.
 func (c *Client) Chats() <-chan ChatEvent { return c.chats }
 
 // Err returns the terminal connection error, if any.
