@@ -38,7 +38,7 @@ func main() {
 		workers  = flag.Int("sim-workers", 0, "step regions concurrently on this many goroutines per tick (0 or 1: serial; never changes results)")
 		seed     = flag.Uint64("seed", 1, "simulation seed")
 		duration = flag.Int64("duration", 0, "estate duration in sim seconds (0: preset default)")
-		password = flag.String("password", "", "require this password for logins and peer links")
+		password = flag.String("password", "", "require this password for logins")
 		hold     = flag.Bool("hold", false, "hold the shared clock at zero until a clock-start arrives")
 		query    = flag.String("query", "", "serve a live analytics query endpoint on this address (empty: disabled)")
 		window   = flag.Int64("window", 3600, "analysis window for the query endpoint, in sim seconds")

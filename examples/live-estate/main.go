@@ -6,11 +6,10 @@
 // connected to live Second Life region servers and harvested positions
 // over the wire. Here the estate service hosts one region server per
 // grid cell on a shared warped clock, hands border-crossing avatars
-// between region servers as encoded capsules over inter-server TCP
-// links, and exposes a directory endpoint; one observer monitor logs
-// into every region, aligned on the directory clock. Because handoffs
-// settle inside each lockstep tick, the live measurement is
-// bit-identical to the in-process simulation.
+// between its regions in process, and exposes a directory endpoint; one
+// observer monitor logs into every region, aligned on the directory
+// clock. Because handoffs settle inside each lockstep tick, the live
+// measurement is bit-identical to the in-process simulation.
 //
 //	go run ./examples/live-estate
 package main

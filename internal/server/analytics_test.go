@@ -1,10 +1,7 @@
 package server
 
 import (
-	"bufio"
 	"context"
-	"errors"
-	"io"
 	"net"
 	"sync"
 	"testing"
@@ -118,60 +115,6 @@ func TestRelayChatClosesWedgedSession(t *testing.T) {
 	_ = c2.SetReadDeadline(time.Now().Add(time.Second))
 	if _, err := c2.Read(make([]byte, 1)); err == nil {
 		t.Error("peer side still readable; connection should be closed")
-	}
-}
-
-// TestPeerTransferAckTimeout kills a peer between Transfer and
-// TransferAck: the ack read is deadline-bounded and surfaces a typed
-// *PeerTimeoutError instead of hanging the estate's StepPending forever.
-func TestPeerTransferAckTimeout(t *testing.T) {
-	srv, err := NewEstate(EstateConfig{
-		Estate:      testEstate(7, 86400),
-		PeerTimeout: 200 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.closeListeners()
-
-	// A stub peer that swallows the transfer and never acks — a server
-	// that died (or wedged) with the connection still open.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		_, _ = io.Copy(io.Discard, conn)
-	}()
-
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	srv.peers[0*len(srv.hosts)+1] = &peerLink{conn: conn, bw: bufio.NewWriter(conn), timeout: srv.peerTimeout()}
-
-	start := time.Now()
-	err = srv.routeTick([]world.Transfer{{From: 0, To: 1, Avatar: []byte("capsule")}})
-	elapsed := time.Since(start)
-	var pte *PeerTimeoutError
-	if !errors.As(err, &pte) {
-		t.Fatalf("routeTick error = %v, want *PeerTimeoutError", err)
-	}
-	if pte.Op != "transfer ack" {
-		t.Errorf("timeout op = %q, want %q", pte.Op, "transfer ack")
-	}
-	if pte.From != 0 || pte.To != 1 {
-		t.Errorf("timeout route = %d -> %d, want 0 -> 1", pte.From, pte.To)
-	}
-	if elapsed > 3*time.Second {
-		t.Errorf("ack timeout took %v, want bounded by the configured 200ms deadline", elapsed)
 	}
 }
 

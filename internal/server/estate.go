@@ -4,22 +4,19 @@
 // Second Life service ran, where one simulator process hosted each 256 m
 // region of the contiguous grid.
 //
-// Avatar handoffs cross the network: when an avatar walks off a region's
-// edge (or teleports to another region's attraction), the source region
-// server encodes its full state — identity, re-based position, behaviour
-// and random stream — into a capsule and sends it to the destination
-// region server as an slp Transfer over an authenticated inter-server
-// link. The destination either admits the avatar (TransferAck accepted)
-// or refuses it at capacity, in which case the source turns the avatar
-// back at the border. Because the clock is lockstep and transfers settle
-// inside the tick, a served estate is bit-identical to the in-process
-// EstateSim — pinned by the live-vs-replay parity test.
+// Every region lives in this one process, so avatar handoffs are
+// in-process: each tick calls the same EstateSim.Step as the offline
+// estate, which moves an avatar that walked off a region's edge (or
+// teleported to another region's attraction) into its destination, or
+// turns it back at a full one. The handoffs settle under the estate lock
+// before any push of the tick is built, so a monitor never observes an
+// avatar mid-flight, and a served estate is bit-identical to the
+// in-process EstateSim — pinned by the live-vs-replay parity test.
 //
 // Failure behaviour: the estate is one measurement instrument, not a
-// fault-tolerant fleet. A dropped inter-server link or region listener
-// is fatal — Run returns the error and shuts every region down — because
-// an estate missing a region can neither route handoffs deterministically
-// nor produce a consistent estate-wide trace.
+// fault-tolerant fleet. A dead region or directory listener is fatal —
+// Run returns the error and shuts every region down — because an estate
+// missing a region cannot produce a consistent estate-wide trace.
 package server
 
 import (
@@ -54,8 +51,7 @@ type EstateConfig struct {
 	// TickEvery is the wall-clock interval between clock advances; zero
 	// selects 10 ms.
 	TickEvery time.Duration
-	// Password, when non-empty, is required at login and on inter-server
-	// links.
+	// Password, when non-empty, is required at login.
 	Password string
 	// AOIRadius, when positive, imposes an area-of-interest radius (in
 	// metres) on every avatar map subscription that did not request its
@@ -69,11 +65,6 @@ type EstateConfig struct {
 	// Analytics configures the live analytics query endpoint; the zero
 	// value disables it.
 	Analytics AnalyticsConfig
-	// PeerTimeout bounds each inter-server handshake and transfer-ack
-	// wait; zero selects 5 s. A peer that stops answering within it
-	// fails the estate with a *PeerTimeoutError instead of hanging the
-	// shared clock forever.
-	PeerTimeout time.Duration
 }
 
 // EstateServer is a running estate service: one region server per grid
@@ -86,13 +77,7 @@ type EstateServer struct {
 	closed   bool
 	est      *world.EstateSim
 	hosts    []*landHost
-	peers    map[int]*peerLink     // outgoing transfer links, keyed from*regions+to
-	inPeers  map[net.Conn]struct{} // incoming transfer links, closed on shutdown
 	dirConns map[net.Conn]struct{} // directory connections, closed on shutdown
-
-	// routing sequences each tick's concurrent transfer fanout (guarded
-	// by mu; the cond shares it).
-	routing tickRouting
 
 	// Hoisted per-host fanout closures for the post-step serving phase,
 	// plus their arguments; only the tick goroutine touches them.
@@ -121,31 +106,6 @@ type EstateServer struct {
 // ErrDurationReached is the clean end of an estate service: the hosted
 // measurement ran its full scheduled duration on the shared clock.
 var ErrDurationReached = errors.New("server: estate duration reached")
-
-// peerLink is one outgoing inter-server connection. Within a tick at
-// most one sender goroutine owns each link, so frames and acks stay
-// strictly ordered per link even when many links fan out concurrently.
-type peerLink struct {
-	conn    net.Conn
-	bw      *bufio.Writer
-	timeout time.Duration
-}
-
-// tickRouting sequences one tick's transfer handoffs: frames are sent
-// concurrently per link, but the destination-side injects and the
-// source-side resolves must interleave in the migration sweep's slice
-// order — admissions consume the shared estate rng and race region
-// capacity, so inject g may not run until resolves 0..g-1 completed
-// (a resolve at region A frees the slot a later inject into A needs).
-// queues maps each link to its pending global indices so servePeer can
-// learn a transfer's slot without a wire-format change; next is the
-// resolved-prefix length the injectors gate on.
-type tickRouting struct {
-	cond    *sync.Cond
-	next    int
-	aborted bool
-	queues  map[int][]int
-}
 
 // TickStats summarises the tick loop's wall-clock behaviour: how often
 // the shared clock advanced, how much wall time stepping consumed, and
@@ -195,43 +155,8 @@ func (s *EstateServer) recordTick(steps int, elapsed time.Duration) {
 	s.tickMu.Unlock()
 }
 
-// PeerTimeoutError reports an inter-server exchange that timed out: a
-// peer region server stopped answering mid-handoff. Without the
-// deadline, a dead peer between Transfer and TransferAck would hang the
-// shared clock forever; with it, the estate fails loudly instead.
-type PeerTimeoutError struct {
-	// From and To are the handoff's estate region indices.
-	From, To int
-	// Op names the exchange that timed out ("peer handshake" or
-	// "transfer ack").
-	Op  string
-	Err error
-}
-
-// Error implements error.
-func (e *PeerTimeoutError) Error() string {
-	return fmt.Sprintf("region %d -> %d: %s timed out: %v", e.From, e.To, e.Op, e.Err)
-}
-
-// Unwrap exposes the underlying network error.
-func (e *PeerTimeoutError) Unwrap() error { return e.Err }
-
-// peerTimeout returns the configured inter-server exchange bound.
-func (s *EstateServer) peerTimeout() time.Duration {
-	if s.cfg.PeerTimeout > 0 {
-		return s.cfg.PeerTimeout
-	}
-	return 5 * time.Second
-}
-
-// isTimeout reports whether err is a network timeout.
-func isTimeout(err error) bool {
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
-}
-
 // NewEstate validates the estate, builds one region server per cell plus
-// the directory listener, and wires the inter-server transfer fabric.
+// the directory listener.
 func NewEstate(cfg EstateConfig) (*EstateServer, error) {
 	if cfg.Warp <= 0 {
 		cfg.Warp = 1
@@ -247,14 +172,10 @@ func NewEstate(cfg EstateConfig) (*EstateServer, error) {
 		cfg:      cfg,
 		duration: cfg.Estate.EffectiveDuration(),
 		est:      est,
-		peers:    make(map[int]*peerLink),
-		inPeers:  make(map[net.Conn]struct{}),
 		dirConns: make(map[net.Conn]struct{}),
 		held:     cfg.Hold,
 		start:    make(chan struct{}),
 	}
-	s.routing.cond = sync.NewCond(&s.mu)
-	s.routing.queues = make(map[int][]int)
 	s.hostJob = func(i int) { s.hosts[i].stepLocked(s.hostNow) }
 	s.sampleJob = func(i int) {
 		h := s.hosts[i]
@@ -285,10 +206,6 @@ func NewEstate(cfg EstateConfig) (*EstateServer, error) {
 			return fail(err)
 		}
 		host.defaultAOI = cfg.AOIRadius
-		region := i
-		host.onPeer = func(conn net.Conn, hello slp.PeerHello) {
-			s.servePeer(region, conn)
-		}
 		s.hosts = append(s.hosts, host)
 	}
 	dirAddr := cfg.Addr
@@ -373,23 +290,19 @@ func (s *EstateServer) AnalyticsErr() error {
 // NumRegions returns the number of hosted regions.
 func (s *EstateServer) NumRegions() int { return len(s.hosts) }
 
-// SimTime returns the shared clock.
-func (s *EstateServer) SimTime() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.est.Time()
-}
+// SimTime returns the shared clock as of the last completed step. It
+// reads the clock the hosts publish, so it never waits for a tick.
+func (s *EstateServer) SimTime() int64 { return s.hosts[0].clock.Load() }
 
-// Crossings returns how many walking handoffs completed over the
-// inter-server links.
+// Crossings returns how many walking border handoffs between regions
+// completed.
 func (s *EstateServer) Crossings() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.est.Crossings()
 }
 
-// Teleports returns how many inter-region teleports completed over the
-// inter-server links.
+// Teleports returns how many inter-region teleports completed.
 func (s *EstateServer) Teleports() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -443,8 +356,8 @@ func (s *EstateServer) directoryLocked() slp.Directory {
 }
 
 // Run serves the estate until the context is cancelled, a region or
-// inter-server connection fails, or the estate duration elapses on the
-// shared clock. It always returns a non-nil reason.
+// directory listener fails, or the estate duration elapses on the shared
+// clock. It always returns a non-nil reason.
 func (s *EstateServer) Run(ctx context.Context) error {
 	defer s.closeListeners()
 
@@ -487,12 +400,7 @@ func (s *EstateServer) Run(ctx context.Context) error {
 			}
 			began := time.Now()
 			for i := 0; i < steps; i++ {
-				end, err := s.step()
-				if err != nil {
-					s.shutdown()
-					return fmt.Errorf("server: estate handoff failed: %w", err)
-				}
-				if end {
+				if s.step() {
 					s.recordTick(i+1, time.Since(began))
 					s.shutdown()
 					return ErrDurationReached
@@ -503,34 +411,24 @@ func (s *EstateServer) Run(ctx context.Context) error {
 	}
 }
 
-// step advances the shared clock by one second: every region simulation
-// ticks under the lock (fanned across the estate's step pool when one
-// is configured), then the tick's cross-region handoffs are routed over
-// the inter-server links — frames issued concurrently per link, acks
-// resolved in the migration sweep's slice order — and finally the
-// post-step serving phase runs: sensors scan, each host materialises
-// its map snapshot, and due subscription pushes go out, after all
-// handoffs settled.
+// step advances the shared clock by one second and reports whether the
+// estate duration elapsed. Under the lock, every region simulation ticks
+// and the tick's cross-region handoffs settle (EstateSim.Step, fanned
+// across the estate's step pool when one is configured); then the
+// post-step serving phase runs: sensors scan, each host materialises its
+// map snapshot and publishes the clock, and due subscription pushes go
+// out.
 //
 // The serving phase fans out per host on the same pool. Each host's
 // snapshot, sensors, and sessions are its own; enqueueRaw is the only
 // sink and never blocks (drop-slow-consumer), so push enqueueing is
-// naturally sharded by region — one slow region's frame encoding no
-// longer serialises the other 63. The estate lock is held by this
-// goroutine for the whole fanout and Pool.Run is a barrier, so every
-// other accessor of host state still sees the lock-ordered world.
-func (s *EstateServer) step() (bool, error) {
+// naturally sharded by region — one slow region's frame encoding does
+// not serialise the other 63. The estate lock is held by this goroutine
+// for the whole fanout and Pool.Run is a barrier, so every other
+// accessor of host state still sees the lock-ordered world.
+func (s *EstateServer) step() bool {
 	s.mu.Lock()
-	transfers := s.est.StepPending()
-	s.mu.Unlock()
-
-	if len(transfers) > 0 {
-		if err := s.routeTick(transfers); err != nil {
-			return false, err
-		}
-	}
-
-	s.mu.Lock()
+	s.est.Step()
 	now := s.est.Time()
 	pool := s.est.StepPool()
 	s.hostNow = now
@@ -552,266 +450,7 @@ func (s *EstateServer) step() (bool, error) {
 	if sample {
 		s.analytics.offer(tick)
 	}
-	return now >= s.duration, nil
-}
-
-// transferAck is one routed handoff's outcome, delivered by the link's
-// sender goroutine to the resolver.
-type transferAck struct {
-	accepted bool
-	err      error
-}
-
-// routeTick carries one tick's handoffs to their destination region
-// servers. The wire work is concurrent — each link's sender goroutine
-// pipelines its Transfer frames up-front and then reads that link's
-// acks in order — while the semantic order is preserved exactly: the
-// destination-side injects are gated on tickRouting so they happen in
-// slice order, interleaved with this goroutine resolving ack i before
-// inject i+1 may run, which is ResolveTransfer's contract and the
-// serial loop's rng/capacity behaviour bit for bit.
-func (s *EstateServer) routeTick(transfers []world.Transfer) error {
-	n := len(s.hosts)
-	// Group by link in slice order; dial any missing links first, from
-	// this goroutine, so s.peers sees no concurrent writes.
-	linkOrder := make([]int, 0, 4)
-	byLink := make(map[int][]int)
-	for g, tr := range transfers {
-		key := tr.From*n + tr.To
-		if _, seen := byLink[key]; !seen {
-			linkOrder = append(linkOrder, key)
-			if _, dialed := s.peers[key]; !dialed {
-				link, err := s.dialPeer(tr.From, tr.To)
-				if err != nil {
-					return err
-				}
-				s.peers[key] = link
-			}
-		}
-		byLink[key] = append(byLink[key], g)
-	}
-
-	// Publish the routing plan so each destination's peer handler can
-	// recover its transfers' global slots from link arrival order.
-	s.mu.Lock()
-	s.routing.next = 0
-	s.routing.aborted = false
-	for key, list := range byLink {
-		s.routing.queues[key] = list
-	}
-	s.mu.Unlock()
-
-	acks := make([]chan transferAck, len(transfers))
-	for g := range acks {
-		acks[g] = make(chan transferAck, 1)
-	}
-	for _, key := range linkOrder {
-		link, list := s.peers[key], byLink[key]
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			for _, g := range list {
-				tr := transfers[g]
-				if err := link.send(slp.Transfer{
-					From:     uint32(tr.From),
-					To:       uint32(tr.To),
-					Teleport: tr.Teleport,
-					Avatar:   tr.Avatar,
-				}); err != nil {
-					err = fmt.Errorf("region %d -> %d: transfer send: %w", tr.From, tr.To, err)
-					for _, rest := range list {
-						acks[rest] <- transferAck{err: err}
-					}
-					return
-				}
-			}
-			for k, g := range list {
-				accepted, err := link.readAck(transfers[g])
-				if err != nil {
-					for _, rest := range list[k:] {
-						acks[rest] <- transferAck{err: err}
-					}
-					return
-				}
-				acks[g] <- transferAck{accepted: accepted}
-			}
-		}()
-	}
-
-	var firstErr error
-	for g := range transfers {
-		a := <-acks[g]
-		if a.err != nil {
-			firstErr = a.err
-			break
-		}
-		s.mu.Lock()
-		s.est.ResolveTransfer(g, a.accepted)
-		s.routing.next++
-		s.routing.cond.Broadcast()
-		s.mu.Unlock()
-	}
-	// On failure, release any injector still waiting for its turn; the
-	// sender goroutines self-terminate on their write/read deadlines and
-	// are joined by shutdown via s.wg. Leftover queue entries (consumed
-	// only up to the failure) are dropped with the estate.
-	s.mu.Lock()
-	if firstErr != nil {
-		s.routing.aborted = true
-		s.routing.cond.Broadcast()
-	}
-	clear(s.routing.queues)
-	s.mu.Unlock()
-	return firstErr
-}
-
-// dialPeer opens and authenticates an outgoing link to region `to` on
-// behalf of region `from`; the caller owns (and caches) the link.
-func (s *EstateServer) dialPeer(from, to int) (*peerLink, error) {
-	conn, err := net.DialTimeout("tcp", s.hosts[to].addr(), s.peerTimeout())
-	if err != nil {
-		return nil, fmt.Errorf("region %d -> %d: %w", from, to, err)
-	}
-	link := &peerLink{conn: conn, bw: bufio.NewWriter(conn), timeout: s.peerTimeout()}
-	if err := link.send(slp.PeerHello{Version: slp.Version, Region: uint32(from), Password: s.cfg.Password}); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("region %d -> %d: peer hello: %w", from, to, err)
-	}
-	_ = conn.SetReadDeadline(time.Now().Add(s.peerTimeout()))
-	reply, err := slp.ReadMessage(conn)
-	if err != nil {
-		conn.Close()
-		if isTimeout(err) {
-			return nil, &PeerTimeoutError{From: from, To: to, Op: "peer handshake", Err: err}
-		}
-		return nil, fmt.Errorf("region %d -> %d: peer handshake: %w", from, to, err)
-	}
-	if e, isErr := reply.(slp.Error); isErr {
-		conn.Close()
-		return nil, fmt.Errorf("region %d -> %d: peer refused (%d): %s", from, to, e.Code, e.Message)
-	}
-	if _, isWelcome := reply.(slp.Welcome); !isWelcome {
-		conn.Close()
-		return nil, fmt.Errorf("region %d -> %d: unexpected peer handshake reply %s", from, to, reply.Type())
-	}
-	return link, nil
-}
-
-// readAck reads one TransferAck off the link. The read is bounded: a
-// peer that dies between Transfer and TransferAck must fail the estate,
-// not hang the shared clock forever.
-func (l *peerLink) readAck(tr world.Transfer) (bool, error) {
-	_ = l.conn.SetReadDeadline(time.Now().Add(l.timeout))
-	reply, err := slp.ReadMessage(l.conn)
-	if err != nil {
-		if isTimeout(err) {
-			return false, &PeerTimeoutError{From: tr.From, To: tr.To, Op: "transfer ack", Err: err}
-		}
-		return false, fmt.Errorf("region %d -> %d: transfer ack: %w", tr.From, tr.To, err)
-	}
-	switch v := reply.(type) {
-	case slp.TransferAck:
-		return v.Accepted, nil
-	case slp.Error:
-		return false, fmt.Errorf("region %d -> %d: transfer rejected (%d): %s", tr.From, tr.To, v.Code, v.Message)
-	default:
-		return false, fmt.Errorf("region %d -> %d: unexpected transfer reply %s", tr.From, tr.To, reply.Type())
-	}
-}
-
-func (l *peerLink) send(m slp.Message) error {
-	_ = l.conn.SetWriteDeadline(time.Now().Add(l.timeout))
-	if err := slp.WriteMessage(l.bw, m); err != nil {
-		return err
-	}
-	return l.bw.Flush()
-}
-
-// servePeer runs the destination side of an inter-server link on region
-// `region`: it welcomes the peer, then admits (or refuses) each incoming
-// avatar transfer.
-func (s *EstateServer) servePeer(region int, conn net.Conn) {
-	bw := bufio.NewWriter(conn)
-	write := func(m slp.Message) error {
-		_ = conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
-		if err := slp.WriteMessage(bw, m); err != nil {
-			return err
-		}
-		return bw.Flush()
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.inPeers[conn] = struct{}{}
-	name := s.hosts[region].sim.Scenario().Land.Name
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		delete(s.inPeers, conn)
-		s.mu.Unlock()
-	}()
-	if err := write(slp.Welcome{Land: name}); err != nil {
-		return
-	}
-	for {
-		msg, err := slp.ReadMessage(conn)
-		if err != nil {
-			var de *slp.DecodeError
-			if errors.As(err, &de) {
-				_ = write(slp.Error{Code: slp.ErrMalformed, Message: de.Error()})
-			}
-			return
-		}
-		tr, ok := msg.(slp.Transfer)
-		if !ok {
-			if _, bye := msg.(slp.Logout); bye {
-				return
-			}
-			_ = write(slp.Error{Code: slp.ErrBadRequest,
-				Message: fmt.Sprintf("unexpected %s on transfer link", msg.Type())})
-			return
-		}
-		if int(tr.To) != region {
-			_ = write(slp.Error{Code: slp.ErrBadRequest,
-				Message: fmt.Sprintf("transfer addressed to region %d arrived at %d", tr.To, region)})
-			return
-		}
-		s.mu.Lock()
-		// A transfer on a link the tick planned carries a global slot:
-		// frames arrive in link order, so popping the link's queue
-		// recovers it, and the inject then waits its turn behind the
-		// resolves of every earlier slot (see tickRouting). A transfer
-		// with no plan entry — an external peer injecting out-of-band —
-		// keeps the legacy immediate-inject path.
-		key := int(tr.From)*len(s.hosts) + int(tr.To)
-		if q := s.routing.queues[key]; len(q) > 0 {
-			g := q[0]
-			s.routing.queues[key] = q[1:]
-			for s.routing.next != g && !s.routing.aborted && !s.closed {
-				s.routing.cond.Wait()
-			}
-			if s.routing.aborted || s.closed {
-				s.mu.Unlock()
-				return
-			}
-		}
-		accepted, err := s.est.Inject(world.Transfer{
-			From:     int(tr.From),
-			To:       int(tr.To),
-			Teleport: tr.Teleport,
-			Avatar:   tr.Avatar,
-		})
-		s.mu.Unlock()
-		if err != nil {
-			_ = write(slp.Error{Code: slp.ErrMalformed, Message: err.Error()})
-			return
-		}
-		if err := write(slp.TransferAck{Accepted: accepted}); err != nil {
-			return
-		}
-	}
+	return now >= s.duration
 }
 
 // directoryLoop serves grid discovery and clock control. Connections
@@ -913,19 +552,9 @@ func (s *EstateServer) shutdown() {
 	for _, h := range s.hosts {
 		h.shutdownLocked()
 	}
-	for _, l := range s.peers {
-		l.conn.Close()
-	}
-	for conn := range s.inPeers {
-		conn.Close()
-	}
 	for conn := range s.dirConns {
 		conn.Close()
 	}
-	// Wake any injector still gated on its routing turn; with closed
-	// set it gives up instead of waiting on a tick that will never
-	// resolve.
-	s.routing.cond.Broadcast()
 	s.mu.Unlock()
 	s.closeListeners()
 	s.wg.Wait()

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -49,12 +50,31 @@ func startEstate(t *testing.T, cfg EstateConfig) *EstateServer {
 	return srv
 }
 
-// TestEstateHandoffsCrossTheNetwork runs a full short estate service and
-// checks that avatars actually moved between region servers through the
-// inter-server transfer links.
-func TestEstateHandoffsCrossTheNetwork(t *testing.T) {
+// awaitGoroutines waits for the goroutine count to fall back to base,
+// failing the test if it has not within the deadline — the check that a
+// server's Run leaves nothing running behind it.
+func awaitGoroutines(t *testing.T, base int, deadline time.Duration) {
+	t.Helper()
+	end := time.Now().Add(deadline)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(end) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines still running %v after Run returned, want %d:\n%s",
+				runtime.NumGoroutine(), deadline, base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestEstateHandoffsInProcess runs a full short estate service on a
+// stepping pool and checks that avatars actually moved between its
+// regions, and that Run returns with every goroutine it started gone.
+func TestEstateHandoffsInProcess(t *testing.T) {
+	base := runtime.NumGoroutine()
+	est := testEstate(3, 900)
+	est.SimWorkers = 2
 	srv, err := NewEstate(EstateConfig{
-		Estate:    testEstate(3, 900),
+		Estate:    est,
 		Warp:      4000,
 		TickEvery: time.Millisecond,
 	})
@@ -66,10 +86,40 @@ func TestEstateHandoffsCrossTheNetwork(t *testing.T) {
 		t.Fatalf("run = %v, want duration reached", err)
 	}
 	if srv.Crossings() == 0 {
-		t.Error("no walking handoffs crossed the network")
+		t.Error("no walking handoffs between regions")
 	}
 	if srv.Teleports() == 0 {
-		t.Error("no teleports crossed the network")
+		t.Error("no teleports between regions")
+	}
+	awaitGoroutines(t, base, 5*time.Second)
+}
+
+// TestPingSkipsTickLock: a ping is answered from the published clock, so
+// it never waits on the estate lock that every tick takes — here held by
+// the test for the whole exchange. The Pong carries the clock of the
+// last completed step, which with the lock held is the estate's clock.
+func TestPingSkipsTickLock(t *testing.T) {
+	srv := startEstate(t, EstateConfig{Estate: testEstate(5, 86400), Warp: 500})
+	c, err := slp.Dial(srv.RegionAddr(1), "pinger", "", 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Ping(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	want := srv.est.Time()
+	got, err := c.Ping(2 * time.Second)
+	if err != nil {
+		t.Fatalf("ping with the estate lock held: %v", err)
+	}
+	if got != want {
+		t.Errorf("pong sim time = %d, want %d", got, want)
+	}
+	if now := srv.SimTime(); now != want {
+		t.Errorf("SimTime = %d, want %d", now, want)
 	}
 }
 
@@ -126,13 +176,21 @@ func TestMalformedLoginGetsTypedError(t *testing.T) {
 	srv, cancel := startServer(t, scn, 100)
 	defer cancel()
 
-	conn, err := net.Dial("tcp", srv.Addr())
+	// A well-framed payload that decodes to no known message.
+	if e := rawLoginReply(t, srv.Addr(), []byte{0xEE, 0xDE, 0xAD, 0xBE, 0xEF}); e.Code != slp.ErrMalformed {
+		t.Errorf("error code = %d, want ErrMalformed", e.Code)
+	}
+}
+
+// rawLoginReply opens a connection to addr, sends payload as its first
+// frame, and returns the server's Error reply.
+func rawLoginReply(t *testing.T, addr string, payload []byte) slp.Error {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	// A well-framed payload that decodes to no known message.
-	payload := []byte{0xEE, 0xDE, 0xAD, 0xBE, 0xEF}
 	var hdr [2]byte
 	binary.BigEndian.PutUint16(hdr[:], uint16(len(payload)))
 	if _, err := conn.Write(append(hdr[:], payload...)); err != nil {
@@ -141,60 +199,24 @@ func TestMalformedLoginGetsTypedError(t *testing.T) {
 	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	msg, err := slp.ReadMessage(conn)
 	if err != nil {
-		t.Fatalf("no protocol reply to malformed login: %v", err)
+		t.Fatalf("no protocol reply to the first frame: %v", err)
 	}
 	e, ok := msg.(slp.Error)
 	if !ok {
 		t.Fatalf("reply = %T, want slp.Error", msg)
 	}
-	if e.Code != slp.ErrMalformed {
-		t.Errorf("error code = %d, want ErrMalformed", e.Code)
-	}
+	return e
 }
 
-// TestPeerLinkAuthentication: transfer links require the estate
-// password, and single-land servers refuse them entirely.
-func TestPeerLinkAuthentication(t *testing.T) {
-	srv := startEstate(t, EstateConfig{
-		Estate: testEstate(6, 86400), Warp: 100, Password: "secret",
-	})
-	conn, err := net.Dial("tcp", srv.RegionAddr(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := slp.WriteMessage(conn, slp.PeerHello{Version: slp.Version, Region: 1, Password: "wrong"}); err != nil {
-		t.Fatal(err)
-	}
-	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	msg, err := slp.ReadMessage(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e, ok := msg.(slp.Error); !ok || e.Code != slp.ErrBadCredentials {
-		t.Fatalf("reply = %#v, want bad-credentials error", msg)
-	}
-
-	// A single-land server is not part of an estate.
-	scn := world.DanceIsland(10)
-	scn.Duration = 86400
-	single, cancel := startServer(t, scn, 100)
-	defer cancel()
-	conn2, err := net.Dial("tcp", single.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn2.Close()
-	if err := slp.WriteMessage(conn2, slp.PeerHello{Version: slp.Version}); err != nil {
-		t.Fatal(err)
-	}
-	_ = conn2.SetReadDeadline(time.Now().Add(5 * time.Second))
-	msg, err = slp.ReadMessage(conn2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e, ok := msg.(slp.Error); !ok || e.Code != slp.ErrNotEstate {
-		t.Fatalf("reply = %#v, want not-an-estate error", msg)
+// TestRetiredPeerHelloIsMalformed: the inter-server handshake is gone
+// and its message code reserved, so a region server answers a frame in
+// the old PeerHello layout as an undecodable one.
+func TestRetiredPeerHelloIsMalformed(t *testing.T) {
+	srv := startEstate(t, EstateConfig{Estate: testEstate(6, 86400), Warp: 100})
+	// Code 16, protocol version, region 1, password "pw".
+	payload := []byte{16, slp.Version, 0, 0, 0, 1, 0, 2, 'p', 'w'}
+	if e := rawLoginReply(t, srv.RegionAddr(0), payload); e.Code != slp.ErrMalformed {
+		t.Errorf("error code = %d, want ErrMalformed", e.Code)
 	}
 }
 

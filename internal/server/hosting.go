@@ -7,6 +7,7 @@ import (
 	"math"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"slmob/internal/geom"
@@ -42,9 +43,11 @@ type landHost struct {
 	// tick, no matter how many sessions are pushed to.
 	snap mapSnap
 
-	// onPeer, when non-nil, accepts inter-server transfer links (estate
-	// regions only); a single-land host refuses them.
-	onPeer func(conn net.Conn, hello slp.PeerHello)
+	// clock publishes the simulation time for readers that must not wait
+	// on the lock — Ping above all, whose round trip would otherwise
+	// queue behind every tick. It is stored under the lock at the end of
+	// each step, so a reader sees the time of the last completed step.
+	clock atomic.Int64
 }
 
 // aoiGridCell is the serving grid's cell edge in metres — sized for the
@@ -286,6 +289,7 @@ func newLandHostSim(mu *sync.Mutex, closed *bool, sim *world.Sim, addr string, w
 		warp:     warp,
 		password: password,
 	}
+	h.clock.Store(sim.Time())
 	sim.SetChatHook(h.relayChat)
 	return h, nil
 }
@@ -355,23 +359,6 @@ func (h *landHost) serveConn(conn net.Conn, wg *sync.WaitGroup) {
 		if errors.As(err, &de) {
 			_ = sess.write(slp.Error{Code: slp.ErrMalformed, Message: de.Error()})
 		}
-		return
-	}
-	if peer, ok := msg.(slp.PeerHello); ok {
-		if h.onPeer == nil {
-			_ = sess.write(slp.Error{Code: slp.ErrNotEstate, Message: "not an estate region"})
-			return
-		}
-		if peer.Version != slp.Version {
-			_ = sess.write(slp.Error{Code: slp.ErrBadVersion, Message: "unsupported protocol version"})
-			return
-		}
-		if h.password != "" && peer.Password != h.password {
-			_ = sess.write(slp.Error{Code: slp.ErrBadCredentials, Message: "bad credentials"})
-			return
-		}
-		_ = conn.SetReadDeadline(time.Time{})
-		h.onPeer(conn, peer)
 		return
 	}
 	hello, ok := msg.(slp.Hello)
@@ -560,10 +547,7 @@ func (h *landHost) handle(sess *session, msg slp.Message) bool {
 		}
 		_ = sess.write(slp.ObjectReply{ObjectID: rep.ID, ExpiresAt: rep.ExpiresAt})
 	case slp.Ping:
-		h.mu.Lock()
-		now := h.sim.Time()
-		h.mu.Unlock()
-		_ = sess.write(slp.Pong{Seq: v.Seq, SimTime: now})
+		_ = sess.write(slp.Pong{Seq: v.Seq, SimTime: h.clock.Load()})
 	case slp.Logout:
 		return true
 	default:
@@ -586,10 +570,12 @@ func (h *landHost) maxAOIRadius() float64 {
 }
 
 // stepLocked advances the host's per-second duties after a simulation
-// step: sensor scans and due subscription pushes. Called with the lock
-// held, after any cross-region handoffs of the tick have settled, so
-// monitors never observe an avatar mid-flight.
+// step: it publishes the clock, scans sensors, and sends due
+// subscription pushes. Called with the lock held, after any cross-region
+// handoffs of the tick have settled, so monitors never observe an avatar
+// mid-flight.
 func (h *landHost) stepLocked(now int64) {
+	h.clock.Store(now)
 	h.sensors.Step(now, h.sim)
 	for sess := range h.sessions {
 		if sess.subTau > 0 && now >= sess.nextPush {

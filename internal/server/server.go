@@ -2,13 +2,12 @@
 // the stand-in for the Second Life region servers the paper's monitors
 // connected to. A Server hosts one land; an EstateServer hosts a whole
 // multi-region grid on a shared warped clock, hands border-crossing
-// avatars between its region servers over the network, and exposes a
-// directory endpoint for grid discovery. Servers advance the world
-// simulation in real time under a configurable time warp, admit external
-// avatars (crawlers) and measurement-grade observers, relay local chat,
-// answer coarse and full-resolution map requests, push map
-// subscriptions, and enforce each land's object-deployment policy for
-// sensors.
+// avatars between its regions in process, and exposes a directory
+// endpoint for grid discovery. Servers advance the world simulation in
+// real time under a configurable time warp, admit external avatars
+// (crawlers) and measurement-grade observers, relay local chat, answer
+// coarse and full-resolution map requests, push map subscriptions, and
+// enforce each land's object-deployment policy for sensors.
 package server
 
 import (
@@ -130,12 +129,9 @@ func (s *Server) AnalyticsErr() error {
 // Addr returns the bound listen address.
 func (s *Server) Addr() string { return s.host.addr() }
 
-// SimTime returns the current simulation time.
-func (s *Server) SimTime() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.host.sim.Time()
-}
+// SimTime returns the simulation time as of the last completed step,
+// without waiting for a tick.
+func (s *Server) SimTime() int64 { return s.host.clock.Load() }
 
 // Sensors exposes the sensor engine (for deployment bookkeeping in tests
 // and tools).

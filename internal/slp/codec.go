@@ -339,21 +339,6 @@ func Marshal(m Message) ([]byte, error) {
 		for _, id := range v.Removed {
 			e.uvarint(uint64(id))
 		}
-	case PeerHello:
-		e.u8(v.Version)
-		e.u32(v.Region)
-		if err := e.str(v.Password); err != nil {
-			return nil, err
-		}
-	case Transfer:
-		e.u32(v.From)
-		e.u32(v.To)
-		e.bool(v.Teleport)
-		if err := e.bytes(v.Avatar); err != nil {
-			return nil, err
-		}
-	case TransferAck:
-		e.bool(v.Accepted)
 	case DirectoryRequest:
 	case Directory:
 		if err := e.str(v.Estate); err != nil {
@@ -548,17 +533,6 @@ func Unmarshal(payload []byte) (Message, error) {
 			v.Removed = append(v.Removed, trace.AvatarID(d.uvarint()))
 		}
 		m = v
-	case TypePeerHello:
-		v := PeerHello{Version: d.u8(), Region: d.u32()}
-		v.Password = d.str()
-		m = v
-	case TypeTransfer:
-		v := Transfer{From: d.u32(), To: d.u32()}
-		v.Teleport = d.bool()
-		v.Avatar = d.bytes()
-		m = v
-	case TypeTransferAck:
-		m = TransferAck{Accepted: d.bool()}
 	case TypeDirectoryRequest:
 		m = DirectoryRequest{}
 	case TypeDirectory:

@@ -2,6 +2,8 @@ package slp
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -39,9 +41,6 @@ func TestRoundTripAllTypes(t *testing.T) {
 		Pong{Seq: 77, SimTime: 999},
 		Logout{},
 		MapReplyFull{SimTime: 60, Entries: []FullEntry{{ID: 9, Pos: geom.V(1.5, 2.25, 0.5), Seated: true}}},
-		PeerHello{Version: Version, Region: 2, Password: "hunter2"},
-		Transfer{From: 0, To: 1, Teleport: true, Avatar: []byte{9, 8, 7}},
-		TransferAck{Accepted: true},
 		DirectoryRequest{},
 		Directory{Estate: "Paper Archipelago", Rows: 1, Cols: 3, SimTime: 7, Warp: 600, Duration: 86400, Held: true,
 			Regions: []DirRegion{{Name: "Apfel Land", Addr: "127.0.0.1:7600", Origin: geom.V2(512, 0), Size: 256}}},
@@ -72,10 +71,6 @@ func TestRoundTripEstateFidelity(t *testing.T) {
 	mr := roundTrip(t, MapReplyFull{SimTime: 30, Entries: []FullEntry{fe}}).(MapReplyFull)
 	if mr.SimTime != 30 || len(mr.Entries) != 1 || mr.Entries[0] != fe {
 		t.Errorf("full map reply = %+v", mr)
-	}
-	tr := roundTrip(t, Transfer{From: 3, To: 4, Teleport: true, Avatar: []byte{1, 2, 3}}).(Transfer)
-	if tr.From != 3 || tr.To != 4 || !tr.Teleport || !bytes.Equal(tr.Avatar, []byte{1, 2, 3}) {
-		t.Errorf("transfer = %+v", tr)
 	}
 	d := roundTrip(t, Directory{Estate: "E", Rows: 4, Cols: 4, SimTime: 5, Warp: 1200.5, Duration: 100, Held: true,
 		Regions: []DirRegion{{Name: "R", Addr: "a:1", Origin: geom.V2(768, 256), Size: 256}}}).(Directory)
@@ -122,6 +117,22 @@ func TestMapReplyQuantization(t *testing.T) {
 	// Out-of-range coordinates clamp to the byte range.
 	if out.Entries[2].Pos.X != 255 || out.Entries[2].Pos.Y != 0 {
 		t.Errorf("clamping failed: %v", out.Entries[2].Pos)
+	}
+}
+
+// TestReservedTypesDoNotDecode: the codes of the retired inter-server
+// handoff messages stay reserved — a frame carrying one is a typed
+// decode failure, never a message.
+func TestReservedTypesDoNotDecode(t *testing.T) {
+	for code := TypeMapReplyFull + 1; code < TypeDirectoryRequest; code++ {
+		_, err := Unmarshal([]byte{byte(code), 0, 0, 0, 0})
+		var de *DecodeError
+		if !errors.As(err, &de) {
+			t.Errorf("type %d: err = %v, want a DecodeError", code, err)
+		}
+		if got, want := code.String(), fmt.Sprintf("MsgType(%d)", byte(code)); got != want {
+			t.Errorf("type %d name = %q, want %q", code, got, want)
+		}
 	}
 }
 

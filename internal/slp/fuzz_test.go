@@ -2,6 +2,7 @@ package slp
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 	"time"
@@ -29,9 +30,6 @@ func fuzzSeedMessages() []Message {
 		Pong{Seq: 1, SimTime: 5},
 		Logout{},
 		MapReplyFull{SimTime: 60, Entries: []FullEntry{{ID: 9, Pos: geom.V(1.5, 2.25, 0.5), Seated: true}}},
-		PeerHello{Version: Version, Region: 2, Password: "pw"},
-		Transfer{From: 0, To: 1, Teleport: true, Avatar: []byte{1, 2, 3, 4}},
-		TransferAck{Accepted: true},
 		DirectoryRequest{},
 		Directory{Estate: "Paper Archipelago", Rows: 1, Cols: 3, SimTime: 0, Warp: 600, Duration: 86400, Held: true,
 			Regions: []DirRegion{{Name: "Apfel Land", Addr: "127.0.0.1:7600", Origin: geom.V2(0, 0), Size: 256}}},
@@ -42,6 +40,16 @@ func fuzzSeedMessages() []Message {
 		MapDelta{SimTime: 80, Seq: 2,
 			Updated: []MapEntry{{ID: 2, Pos: geom.V(31, 41, 0)}},
 			Removed: []trace.AvatarID{1}},
+	}
+}
+
+// reservedTypePayloads returns one payload per reserved message code,
+// shaped like the retired inter-server handshake, transfer and ack.
+func reservedTypePayloads() [][]byte {
+	return [][]byte{
+		{byte(TypeMapReplyFull) + 1, Version, 0, 0, 0, 2, 0, 2, 'p', 'w'},
+		{byte(TypeMapReplyFull) + 2, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 4, 1, 2, 3, 4},
+		{byte(TypeMapReplyFull) + 3, 1},
 	}
 }
 
@@ -66,6 +74,11 @@ func FuzzUnmarshal(f *testing.F) {
 	// (layout: type, SimTime varint, Seq varint, keyframe byte, counts).
 	f.Add([]byte{byte(TypeMapDelta), 1, 2, 1, 0xFF, 0xFF, 0x03})
 	f.Add([]byte{byte(TypeMapDelta), 1, 2, 0, 0, 0xFF, 0xFF, 0x03})
+	// The reserved codes of the retired handoff messages, in their old
+	// layouts: they must fail as typed decode errors.
+	for _, p := range reservedTypePayloads() {
+		f.Add(p)
+	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		m, err := Unmarshal(payload)
 		if err != nil {
@@ -104,6 +117,11 @@ func FuzzReadMessage(f *testing.F) {
 	f.Add([]byte{0, 0})          // zero-length frame
 	f.Add([]byte{0xFF, 0xFF, 1}) // frame longer than the stream
 	f.Add([]byte{0x7F, 0xFF})    // header only
+	for _, p := range reservedTypePayloads() {
+		var hdr [2]byte
+		binary.BigEndian.PutUint16(hdr[:], uint16(len(p)))
+		f.Add(append(hdr[:], p...))
+	}
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		r := bytes.NewReader(stream)
 		deadline := time.Now().Add(2 * time.Second)

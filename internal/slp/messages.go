@@ -18,10 +18,11 @@ import (
 	"slmob/internal/trace"
 )
 
-// Version is the protocol version carried in Hello and PeerHello.
+// Version is the protocol version carried in Hello.
 // Version 2 added the estate facility: observer logins, full-resolution
 // map replies, the directory/clock endpoints, and inter-server avatar
-// transfers. Version 3 added the analytics query facility: the
+// transfers, since retired (their message codes stay reserved; clients
+// never sent them). Version 3 added the analytics query facility: the
 // Query/AnalysisReply/StatsReply exchange and the directory's
 // query-endpoint address. Version 4 added interest management:
 // Subscribe grew a radius and a delta-encoding opt-in, and MapDelta
@@ -54,9 +55,11 @@ const (
 	TypePong
 	TypeLogout
 	TypeMapReplyFull
-	TypePeerHello
-	TypeTransfer
-	TypeTransferAck
+	// Codes 16–18 are reserved: they carried the retired inter-server
+	// handoff messages, and never decode now.
+	_
+	_
+	_
 	TypeDirectoryRequest
 	TypeDirectory
 	TypeClockStart
@@ -71,11 +74,10 @@ const (
 func (t MsgType) String() string {
 	names := [...]string{"invalid", "hello", "welcome", "error", "move", "chat",
 		"chat-event", "map-request", "map-reply", "subscribe", "object-create",
-		"object-reply", "ping", "pong", "logout", "map-reply-full", "peer-hello",
-		"transfer", "transfer-ack", "directory-request", "directory",
-		"clock-start", "clock-started", "query", "analysis-reply", "stats-reply",
-		"map-delta"}
-	if int(t) < len(names) {
+		"object-reply", "ping", "pong", "logout", "map-reply-full", "", "", "",
+		"directory-request", "directory", "clock-start", "clock-started", "query",
+		"analysis-reply", "stats-reply", "map-delta"}
+	if int(t) < len(names) && names[t] != "" {
 		return names[t]
 	}
 	return fmt.Sprintf("MsgType(%d)", byte(t))
@@ -139,9 +141,6 @@ const (
 	// dropping the connection, the server names the protocol violation
 	// before closing.
 	ErrMalformed
-	// ErrNotEstate reports an estate-only request (directory, clock,
-	// transfer) sent to a host that is not part of an estate.
-	ErrNotEstate
 )
 
 // Error reports a request failure.
@@ -344,46 +343,6 @@ type MapDelta struct {
 
 // Type implements Message.
 func (MapDelta) Type() MsgType { return TypeMapDelta }
-
-// PeerHello opens an inter-server link: region servers of one estate
-// authenticate to each other with it before exchanging avatar transfers.
-type PeerHello struct {
-	Version byte
-	// Region is the dialling server's region index.
-	Region uint32
-	// Password is the estate's shared secret (the login password).
-	Password string
-}
-
-// Type implements Message.
-func (PeerHello) Type() MsgType { return TypePeerHello }
-
-// Transfer hands a border-crossing avatar to a neighbouring region
-// server: identity, re-based position, and behaviour state travel as an
-// opaque world capsule, so the destination resumes the avatar exactly
-// where the source left it.
-type Transfer struct {
-	// From and To are estate region indices.
-	From, To uint32
-	// Teleport marks a point-of-interest teleport rather than a walked
-	// border crossing.
-	Teleport bool
-	// Avatar is the encoded avatar capsule (world package format).
-	Avatar []byte
-}
-
-// Type implements Message.
-func (Transfer) Type() MsgType { return TypeTransfer }
-
-// TransferAck answers a Transfer. A refused handoff (destination at its
-// avatar cap) is a normal protocol outcome, not an error: the source
-// region turns the avatar back.
-type TransferAck struct {
-	Accepted bool
-}
-
-// Type implements Message.
-func (TransferAck) Type() MsgType { return TypeTransferAck }
 
 // DirectoryRequest asks an estate directory endpoint for the grid
 // description.

@@ -193,8 +193,6 @@ func errCodeName(code ErrCode) string {
 		return "bad-request"
 	case ErrMalformed:
 		return "malformed"
-	case ErrNotEstate:
-		return "not-estate"
 	default:
 		return fmt.Sprintf("code-%d", byte(code))
 	}

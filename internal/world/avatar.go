@@ -56,12 +56,6 @@ type avatar struct {
 	// investigating is set while the avatar walks toward a suspicious
 	// presence (the crawler-perturbation behaviour).
 	investigating bool
-
-	// inFlight marks an avatar whose cross-region handoff is being routed
-	// over the network (between StepPending and ResolveTransfer): map
-	// observations skip it, so a poll racing a handoff sees the avatar on
-	// at most one side of the border, never both.
-	inFlight bool
 }
 
 // AvatarState is the externally visible state of one avatar, as a monitor

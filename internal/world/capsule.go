@@ -10,19 +10,18 @@ import (
 	"slmob/internal/trace"
 )
 
-// The avatar capsule is the wire form of a mid-session avatar handed off
-// between the region servers of a networked estate: everything the
-// destination needs to resume the avatar exactly where the source left
-// it — identity, kinematic state, session timers, ground-truth odometry,
-// and the avatar's personal random stream. Shipping the random state is
-// what makes a networked estate bit-identical to the in-process one: the
-// avatar's next destination and pause draws continue the same sequence
-// on the far side of the socket.
+// The avatar capsule is the serialised form of a mid-session avatar, as
+// world checkpoints store it: everything needed to resume the avatar
+// exactly where it left off — identity, kinematic state, session timers,
+// ground-truth odometry, and the avatar's personal random stream. Saving
+// the random state is what makes a resumed simulation bit-identical to an
+// uninterrupted one: the avatar's next destination and pause draws
+// continue the same sequence.
 //
 // Layout (big-endian, fixed size): a version byte followed by the fields
 // in declaration order. Positions are float64 — unlike the coarse map,
-// a handoff must not lose precision, or the re-based trajectory diverges
-// from the offline simulation.
+// a resumed avatar must not lose precision, or its trajectory diverges
+// from the uninterrupted simulation.
 
 // capsuleVersion guards the capsule layout.
 const capsuleVersion = 1
@@ -79,8 +78,8 @@ func encodeAvatar(a *avatar) []byte {
 }
 
 // decodeAvatar unpacks a capsule into a fresh avatar. The seat and
-// crossTo fields are not carried: an avatar in transit holds neither a
-// seat nor a pending crossing, and arrival placement resets both.
+// crossTo fields are not carried: checkpoints store them beside the
+// capsule, and validate them against the restored land.
 func decodeAvatar(data []byte) (*avatar, error) {
 	if len(data) != capsuleSize {
 		return nil, fmt.Errorf("world: avatar capsule is %d bytes, want %d", len(data), capsuleSize)

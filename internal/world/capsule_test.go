@@ -9,7 +9,7 @@ import (
 )
 
 // TestAvatarCapsuleRoundTrip: every field the destination needs — and
-// the avatar's personal random stream — must survive the wire.
+// the avatar's personal random stream — must survive the capsule.
 func TestAvatarCapsuleRoundTrip(t *testing.T) {
 	src := rng.New(99)
 	for i := 0; i < 1000; i++ {
@@ -29,8 +29,8 @@ func TestAvatarCapsuleRoundTrip(t *testing.T) {
 		wanderer:      true,
 		wanderLegs:    4,
 		firstLeg:      true,
-		seat:          2, // not carried: in-transit avatars hold no seat
-		crossTo:       1, // not carried: arrival placement resets it
+		seat:          2, // not carried: checkpoints store it beside the capsule
+		crossTo:       1, // not carried: checkpoints store it beside the capsule
 		movingSecs:    456,
 		travelled:     1234.0625,
 		investigating: true,
@@ -76,91 +76,5 @@ func TestCapsuleDecodeRejectsGarbage(t *testing.T) {
 	bad[1+8+24] = 7 // phase byte out of range
 	if _, err := decodeAvatar(bad); err == nil {
 		t.Error("bad phase accepted")
-	}
-}
-
-// TestStepPendingMatchesStep: driving an estate through the routed
-// transfer path — encode, inject the decoded copy, resolve — must be
-// bit-identical to the in-process Step, tick for tick. This is the
-// in-memory version of the estate server's network handoff loop.
-func TestStepPendingMatchesStep(t *testing.T) {
-	cfg := PaperEstate(77)
-	cfg.Duration = 2400
-	cfg.CrossProb = 0.004
-	cfg.TeleportProb = 0.001
-
-	local, err := NewEstateSim(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	routed, err := NewEstateSim(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var bufA, bufB []AvatarState
-	for step := int64(0); step < cfg.Duration; step++ {
-		local.Step()
-		transfers := routed.StepPending()
-		for i, tr := range transfers {
-			accepted, err := routed.Inject(tr)
-			if err != nil {
-				t.Fatalf("inject at t=%d: %v", routed.Time(), err)
-			}
-			routed.ResolveTransfer(i, accepted)
-		}
-		if step%100 != 0 {
-			continue
-		}
-		for ri := 0; ri < local.NumRegions(); ri++ {
-			bufA = local.Region(ri).ResidentStates(bufA)
-			bufB = routed.Region(ri).ResidentStates(bufB)
-			if len(bufA) != len(bufB) {
-				t.Fatalf("t=%d region %d: %d residents vs %d", local.Time(), ri, len(bufA), len(bufB))
-			}
-			for k := range bufA {
-				if bufA[k] != bufB[k] {
-					t.Fatalf("t=%d region %d: resident %d = %+v vs %+v",
-						local.Time(), ri, k, bufA[k], bufB[k])
-				}
-			}
-		}
-	}
-	if local.Crossings() != routed.Crossings() || local.Teleports() != routed.Teleports() ||
-		local.BlockedHandoffs() != routed.BlockedHandoffs() {
-		t.Errorf("counters: local %d/%d/%d, routed %d/%d/%d",
-			local.Crossings(), local.Teleports(), local.BlockedHandoffs(),
-			routed.Crossings(), routed.Teleports(), routed.BlockedHandoffs())
-	}
-	if routed.Crossings() == 0 || routed.Teleports() == 0 {
-		t.Error("scenario exercised no handoffs; parity is vacuous")
-	}
-}
-
-// TestInjectValidation: transfers with impossible routes are protocol
-// errors, not silent corruption.
-func TestInjectValidation(t *testing.T) {
-	cfg := PaperEstate(1)
-	cfg.Duration = 600
-	est, err := NewEstateSim(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	capsule := encodeAvatar(&avatar{rng: rng.New(5), seat: -1, crossTo: -1})
-	cases := []Transfer{
-		{From: -1, To: 1, Avatar: capsule},
-		{From: 0, To: 3, Avatar: capsule},
-		{From: 1, To: 1, Avatar: capsule},
-		{From: 0, To: 2, Avatar: capsule}, // walk across no shared border
-		{From: 0, To: 1, Avatar: []byte{1, 2, 3}},
-	}
-	for i, tr := range cases {
-		if _, err := est.Inject(tr); err == nil {
-			t.Errorf("case %d: invalid transfer %+v accepted", i, tr)
-		}
-	}
-	// A teleport may cross the whole grid.
-	if _, err := est.Inject(Transfer{From: 0, To: 2, Teleport: true, Avatar: capsule}); err != nil {
-		t.Errorf("teleport 0->2 rejected: %v", err)
 	}
 }

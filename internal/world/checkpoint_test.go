@@ -81,7 +81,7 @@ func TestSourceCheckpointResumesBitIdentical(t *testing.T) {
 }
 
 // TestSourceCheckpointSeated: seated avatars (seat index occupancy)
-// survive the round trip — the state the transfer capsule alone does not
+// survive the round trip — the state the avatar capsule alone does not
 // carry.
 func TestSourceCheckpointSeated(t *testing.T) {
 	scn := DanceIsland(7) // the discotheque: AllowSit with many sit spots

@@ -247,105 +247,17 @@ func (e *EstateSim) Teleports() int { return e.teleports }
 // destination region was at its avatar cap.
 func (e *EstateSim) BlockedHandoffs() int { return e.blocked }
 
-// Transfer is one avatar handoff in wire form: the encoded capsule plus
-// its routing. The estate server carries these between region servers
-// over TCP; the offline simulation resolves the same moves in process
-// without ever encoding them.
-type Transfer struct {
-	// From and To are the source and destination region indices.
-	From, To int
-	// Teleport distinguishes a point-of-interest teleport from a walked
-	// border crossing.
-	Teleport bool
-	// Avatar is the encoded avatar capsule.
-	Avatar []byte
-}
-
 // Step advances the whole estate by one second: every region simulation
 // ticks, then pending border crossings and teleports are resolved in
-// process.
+// process. The estate server makes the same call, so a served estate
+// hands avatars off exactly as the offline one does.
+//
+// Region steps within a tick are independent — each sim owns its rng
+// streams, avatar set, and departure scratch — so with a pool they fan
+// out across the parked workers; Pool.Run is a barrier, so the migration
+// sweep that follows always sees every region fully stepped, and a nil
+// pool degenerates to the serial region-order loop.
 func (e *EstateSim) Step() {
-	if e.stepResidents() {
-		e.sweep()
-		for _, m := range e.moves {
-			if e.admit(m.a, m.from, m.to, m.teleport) {
-				e.sims[m.from].removeAvatar(m.a)
-			} else {
-				e.refuse(m)
-			}
-		}
-	}
-}
-
-// StepPending advances the estate by one second but leaves this tick's
-// cross-region handoffs pending, returning them in wire form (empty on
-// most ticks). The caller must route each transfer to its destination —
-// the estate server sends it over TCP to the destination region server,
-// whose Inject admits it — and then report the outcome with
-// ResolveTransfer, in slice order, before the next step.
-func (e *EstateSim) StepPending() []Transfer {
-	if !e.stepResidents() {
-		return nil
-	}
-	e.sweep()
-	if len(e.moves) == 0 {
-		return nil
-	}
-	out := make([]Transfer, len(e.moves))
-	for i, m := range e.moves {
-		// In flight until resolved: the source region hides the avatar
-		// from map observations so a poll racing the handoff cannot see
-		// it on both sides of the border.
-		m.a.inFlight = true
-		out[i] = Transfer{From: m.from, To: m.to, Teleport: m.teleport, Avatar: encodeAvatar(m.a)}
-	}
-	return out
-}
-
-// Inject admits a transferred avatar into its destination region: the
-// destination-side half of a networked handoff. It reports false — and
-// leaves the estate untouched — when the destination is at its avatar
-// cap, exactly as the in-process path refuses the move.
-func (e *EstateSim) Inject(tr Transfer) (bool, error) {
-	if tr.From < 0 || tr.From >= len(e.sims) || tr.To < 0 || tr.To >= len(e.sims) {
-		return false, fmt.Errorf("world: transfer routes %d->%d outside the %d-region estate",
-			tr.From, tr.To, len(e.sims))
-	}
-	if tr.From == tr.To {
-		return false, fmt.Errorf("world: transfer routes region %d to itself", tr.From)
-	}
-	if !tr.Teleport && !e.adjacent(tr.From, tr.To) {
-		return false, fmt.Errorf("world: walking transfer %d->%d crosses no shared border", tr.From, tr.To)
-	}
-	a, err := decodeAvatar(tr.Avatar)
-	if err != nil {
-		return false, err
-	}
-	return e.admit(a, tr.From, tr.To, tr.Teleport), nil
-}
-
-// ResolveTransfer completes pending handoff i of the slice StepPending
-// returned: an accepted transfer removes the avatar from its source
-// region (the destination already holds the injected copy), a refused
-// one turns the avatar back exactly as the in-process path does.
-func (e *EstateSim) ResolveTransfer(i int, accepted bool) {
-	m := e.moves[i]
-	m.a.inFlight = false
-	if accepted {
-		e.sims[m.from].removeAvatar(m.a)
-	} else {
-		e.refuse(m)
-	}
-}
-
-// stepResidents advances the shared clock and every region simulation,
-// reporting whether a migration sweep is due. Region steps within a
-// tick are independent — each sim owns its rng streams, avatar set, and
-// departure scratch — so with a pool they fan out across the parked
-// workers; Pool.Run is a barrier, so the sweep that follows always sees
-// every region fully stepped, and a nil pool degenerates to the serial
-// region-order loop.
-func (e *EstateSim) stepResidents() bool {
 	e.t++
 	if e.pool != nil {
 		e.pool.Run(len(e.sims), e.stepJob)
@@ -354,15 +266,17 @@ func (e *EstateSim) stepResidents() bool {
 			s.Step()
 		}
 	}
-	return len(e.sims) > 1 && (e.cfg.CrossProb > 0 || e.cfg.TeleportProb > 0)
-}
-
-// adjacent reports whether two regions share a grid border.
-func (e *EstateSim) adjacent(a, b int) bool {
-	ar, ac := a/e.cfg.Cols, a%e.cfg.Cols
-	br, bc := b/e.cfg.Cols, b%e.cfg.Cols
-	dr, dc := ar-br, ac-bc
-	return dr*dr+dc*dc == 1
+	if len(e.sims) < 2 || (e.cfg.CrossProb == 0 && e.cfg.TeleportProb == 0) {
+		return
+	}
+	e.sweep()
+	for _, m := range e.moves {
+		if e.admit(m.a, m.from, m.to, m.teleport) {
+			e.sims[m.from].removeAvatar(m.a)
+		} else {
+			e.refuse(m)
+		}
+	}
 }
 
 // RunUntil advances the estate to the given shared-clock time.
@@ -452,9 +366,7 @@ func (e *EstateSim) beginCrossing(ri int, a *avatar, to int) {
 // admit places avatar a into region `to` and reports success: it
 // capacity-checks the destination, re-bases the position (or rezzes the
 // teleport at an attraction), and resumes the avatar's behaviour in the
-// new region. The caller removes the avatar from its source afterwards;
-// for networked transfers a is a decoded capsule and the source copy is
-// removed by ResolveTransfer on the far side.
+// new region. The caller removes the avatar from its source afterwards.
 func (e *EstateSim) admit(a *avatar, from, to int, teleport bool) bool {
 	dst := e.sims[to]
 	if len(dst.avatars)+len(dst.externals) >= dst.scn.Land.EffectiveMaxAvatars() {

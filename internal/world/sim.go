@@ -447,9 +447,6 @@ func (s *Sim) removeAvatar(a *avatar) {
 func (s *Sim) States(buf []AvatarState) []AvatarState {
 	buf = buf[:0]
 	for _, a := range s.avatars {
-		if a.inFlight {
-			continue
-		}
 		buf = append(buf, AvatarState{ID: a.id, Pos: a.pos, Seated: a.phase == phaseSeated})
 	}
 	for _, e := range s.externals {
@@ -464,9 +461,6 @@ func (s *Sim) States(buf []AvatarState) []AvatarState {
 func (s *Sim) ResidentStates(buf []AvatarState) []AvatarState {
 	buf = buf[:0]
 	for _, a := range s.avatars {
-		if a.inFlight {
-			continue
-		}
 		buf = append(buf, AvatarState{ID: a.id, Pos: a.pos, Seated: a.phase == phaseSeated})
 	}
 	sort.Slice(buf, func(i, j int) bool { return buf[i].ID < buf[j].ID })

@@ -190,8 +190,8 @@ func WithServeAddr(addr string) Option {
 	return func(o *options) { o.serveAddr = addr }
 }
 
-// WithServePassword protects a served estate: logins, observer monitors,
-// and inter-server transfer links all authenticate with it.
+// WithServePassword protects a served estate: avatar logins and observer
+// monitors both authenticate with it.
 func WithServePassword(password string) Option {
 	return func(o *options) { o.servePassword = password }
 }
