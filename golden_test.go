@@ -8,7 +8,9 @@ package slmob
 // after an intentional model change.
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -335,6 +337,47 @@ func TestGoldenCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertGoldenAnalysis(t, got, want)
+}
+
+// goldenCkptSHA256 pins the bytes of a checkpoint taken at goldenCkptAt
+// by the current code. The committed fixture predates later changes to
+// the graph's adjacency order, which move pairs within the pair table,
+// so it is pinned by its resume digest (above) rather than byte for
+// byte; this pin catches any drift from here on.
+const goldenCkptSHA256 = "c59b4d386e5d12a16315896d3c8d14ee71184166ac30f0008d2f11d76c45ec41"
+
+// TestGoldenCheckpointBytesPinned checkpoints the golden analysis at
+// goldenCkptAt and compares the bytes' digest with the pinned one.
+func TestGoldenCheckpointBytesPinned(t *testing.T) {
+	fs, err := OpenTraceStream(goldenTracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	land, tau, cfg := goldenStreamConfig(t, fs)
+	a, err := core.NewAnalyzer(land, tau, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		snap, err := fs.Next(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Observe(snap); err != nil {
+			t.Fatal(err)
+		}
+		if snap.T >= goldenCkptAt {
+			break
+		}
+	}
+	var buf bytes.Buffer
+	if err := Checkpoint(&buf, a, fs); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != goldenCkptSHA256 {
+		t.Fatalf("checkpoint at t=%d has sha256 %s, want %s", goldenCkptAt, got, goldenCkptSHA256)
+	}
 }
 
 // TestGoldenTraceMatchesSimulation guards the fixture itself: the

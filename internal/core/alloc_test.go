@@ -10,9 +10,12 @@ import (
 // allocSnapshots builds a deterministic stream over a fixed avatar
 // population: a stationary contact cluster, a pair that oscillates in
 // and out of range (so contacts start and end, exercising CT/ICT
-// emission), and isolated walkers. After warm-up every distinct metric
-// value, grid cell, pair slot, and scratch buffer has been seen, so
-// Observe must allocate nothing.
+// emission), isolated walkers, a paused avatar whose position jitters
+// by a centimetre, and two avatars that take turns at one spot beside
+// the cluster, so every snapshot has a departure and an arrival that
+// recycles its graph slot and breaks and forms contacts. After warm-up
+// every distinct metric value, grid cell, pair slot, and scratch buffer
+// has been seen, so Observe must allocate nothing.
 func allocSnapshots(n int) []trace.Snapshot {
 	snaps := make([]trace.Snapshot, n)
 	for i := 0; i < n; i++ {
@@ -31,6 +34,10 @@ func allocSnapshots(n int) []trace.Snapshot {
 			{ID: 7, Pos: geom.V2(30, 200+phase)},
 			// A seated avatar (kept alive, no movement contribution).
 			{ID: 8, Pos: geom.V2(10, 10), Seated: true},
+			// Micro-jitter: moves without changing any edge.
+			{ID: 9, Pos: geom.V2(180+0.01*float64(i%2), 180)},
+			// Turn-taker: avatar 10 and 11 alternate at one spot.
+			{ID: trace.AvatarID(10 + i%2), Pos: geom.V2(52, 58)},
 		}}
 	}
 	return snaps
@@ -62,6 +69,9 @@ func TestObserveZeroAllocSteadyState(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("steady-state Observe allocates %v per snapshot, want 0", avg)
+	}
+	if st := a.WorkspaceStats(); st.Incremental == 0 || st.EdgesAdded == 0 || st.EdgesRemoved == 0 {
+		t.Fatalf("pin did not exercise the edge-event path: %+v", st)
 	}
 	if _, err := a.Finish(); err != nil {
 		t.Fatal(err)

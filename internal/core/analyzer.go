@@ -277,13 +277,12 @@ func (a *Analyzer) Observe(snap trace.Snapshot) error {
 //
 //slmob:hotpath
 func (a *Analyzer) observeRange(rs *rangeState, t int64) {
-	var g *graph.Graph
 	if a.cfg.DisableIncremental {
-		g = rs.ws.FromPositions(a.sc.positions, rs.r)
+		rs.ws.FromPositions(a.sc.positions, rs.r)
 	} else {
-		g = rs.ws.ApplyPositions(a.sc.gids, a.sc.positions, rs.r)
+		rs.ws.ApplyPositions(a.sc.gids, a.sc.positions, rs.r)
 	}
-	rs.ct.observe(a.sc.ids, a.sc.fsT, g, t, t == a.firstT)
+	rs.ct.observe(a.sc.ids, a.sc.fsT, rs.ws, t, t == a.firstT)
 
 	// Line-of-sight metrics; snapshots without users are skipped.
 	if len(a.sc.positions) == 0 {
@@ -301,12 +300,9 @@ func (a *Analyzer) observeZones() {
 		a.zoneCounts[i] = 0
 	}
 	for _, p := range a.sc.positions {
-		cx := int(p.X / a.cfg.ZoneSize)
-		cy := int(p.Y / a.cfg.ZoneSize)
-		if cx < 0 || cy < 0 || cx >= a.zoneN || cy >= a.zoneN {
-			continue // outside the modelled footprint
+		if k, ok := zoneCell(p, a.cfg.ZoneSize, a.zoneN); ok {
+			a.zoneCounts[k]++
 		}
-		a.zoneCounts[cy*a.zoneN+cx]++
 	}
 	// Most cells of a land are empty most of the time; batch the zero
 	// cells into one weighted insert and add the occupied ones singly.

@@ -345,7 +345,7 @@ func decodeAnalyzer(r *snap.Reader) (*Analyzer, error) {
 		a.firstSeenT[id] = t
 	}
 	for i, rs := range a.ranges {
-		if err := decodeTracker(r, rs.ct); err != nil {
+		if err := decodeTracker(r, rs.ct, a.lastT); err != nil {
 			return nil, err
 		}
 		cs, err := decodeContactSet(r, rs.r, tau)
@@ -406,13 +406,19 @@ func encodeTracker(w *snap.Writer, ct *contactTracker) {
 	w.Uvarint(uint64(ct.table.n))
 	for i := range ct.table.slots {
 		sl := &ct.table.slots[i]
-		if !sl.used {
+		if !sl.used() {
 			continue
 		}
 		w.Uvarint(uint64(sl.key.A))
 		w.Uvarint(uint64(sl.key.B))
 		w.Varint(sl.st.start)
-		w.Varint(sl.st.lastSeen)
+		// The last-seen time the format keeps per pair: the latest
+		// snapshot for an open contact, the last end for a closed one.
+		if sl.st.inContact {
+			w.Varint(ct.lastT)
+		} else {
+			w.Varint(sl.st.lastEnd)
+		}
 		w.Varint(sl.st.lastEnd)
 		var flags uint64
 		if sl.st.inContact {
@@ -428,7 +434,9 @@ func encodeTracker(w *snap.Writer, ct *contactTracker) {
 	}
 }
 
-func decodeTracker(r *snap.Reader, ct *contactTracker) error {
+// decodeTracker restores a tracker whose latest snapshot was at lastT.
+func decodeTracker(r *snap.Reader, ct *contactTracker, lastT int64) error {
+	ct.lastT = lastT
 	nfc := r.Count(2)
 	for i := 0; i < nfc; i++ {
 		id := trace.AvatarID(r.Uvarint())
@@ -447,7 +455,7 @@ func decodeTracker(r *snap.Reader, ct *contactTracker) error {
 		bID := trace.AvatarID(r.Uvarint())
 		var st pairState
 		st.start = r.Varint()
-		st.lastSeen = r.Varint()
+		lastSeen := r.Varint()
 		st.lastEnd = r.Varint()
 		flags := r.Uvarint()
 		if r.Err() != nil {
@@ -462,21 +470,16 @@ func decodeTracker(r *snap.Reader, ct *contactTracker) error {
 		st.inContact = flags&1 != 0
 		st.leftCensored = flags&2 != 0
 		st.hasPrev = flags&4 != 0
+		if st.inContact && lastSeen != lastT || !st.inContact && lastSeen != st.lastEnd {
+			return &snap.Error{Kind: snap.KindMalformed, Msg: "pair last-seen time inconsistent with its state"}
+		}
 		idx, isNew := ct.table.lookupOrInsert(pairKey{A: aID, B: bID})
 		if !isNew {
 			return &snap.Error{Kind: snap.KindMalformed, Msg: "duplicate pair in checkpoint"}
 		}
 		ct.table.slots[idx].st = st
-	}
-	// Rebuild the active list from the decoded contact states. Ordering
-	// within the list never affects results; generation stamps restart at
-	// zero, which is safe between snapshots.
-	ct.table.rehashed()
-	ct.active = ct.active[:0]
-	for i := range ct.table.slots {
-		sl := &ct.table.slots[i]
-		if sl.used && sl.st.inContact {
-			ct.active = append(ct.active, int32(i))
+		if st.inContact {
+			ct.open++
 		}
 	}
 	return r.Err()

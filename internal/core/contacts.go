@@ -145,8 +145,8 @@ func ExtractContacts(tr *trace.Trace, r float64) (*ContactSet, error) {
 	var sc snapScratch
 	for _, snap := range tr.Snapshots {
 		sc.fill(snap, firstSeen, false)
-		g := ws.ApplyPositions(sc.gids, sc.positions, r)
-		ct.observe(sc.ids, sc.fsT, g, snap.T, snap.T == firstSnapT)
+		ws.ApplyPositions(sc.gids, sc.positions, r)
+		ct.observe(sc.ids, sc.fsT, ws, snap.T, snap.T == firstSnapT)
 	}
 	return ct.finish(len(firstSeen)), nil
 }

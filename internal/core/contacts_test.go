@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -273,6 +274,9 @@ func TestZoneOccupation(t *testing.T) {
 		{ID: 2, Pos: geom.V2(6, 6)},
 		{ID: 3, Pos: geom.V2(35, 5)},
 		{ID: 4, Pos: geom.V2(500, 5)}, // outside footprint: ignored
+		// Just below 0 on one axis: outside too, not in row or column 0.
+		{ID: 5, Pos: geom.V2(-5, 10)},
+		{ID: 6, Pos: geom.V2(10, -0.5)},
 	}})
 	zones, err := ZoneOccupation(tr, 40, 20) // 2x2 cells
 	if err != nil {
@@ -287,6 +291,21 @@ func TestZoneOccupation(t *testing.T) {
 		if zones[i] != want[i] {
 			t.Fatalf("zones = %v, want %v", zones, want)
 		}
+	}
+	// The streaming path counts the same cells.
+	a, err := NewAnalyzer("x", 10, Config{LandSize: 40, ZoneSize: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Observe(tr.Snapshots[0]); err != nil {
+		t.Fatal(err)
+	}
+	an, err := a.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := an.Zones.Values(); !slices.Equal(got, want) {
+		t.Fatalf("streaming zones = %v, want %v", got, want)
 	}
 	if _, err := ZoneOccupation(tr, 0, 20); err == nil {
 		t.Error("invalid land size accepted")

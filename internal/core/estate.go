@@ -448,13 +448,12 @@ func (ea *EstateAnalyzer) observeGlobalRange(i int, ws *graph.Workspace, gt glob
 			w.rangeIdx[i]++
 		}
 	}
-	var g *graph.Graph
 	if ea.cfg.DisableIncremental {
-		g = ws.FromPositions(gt.pos, ea.cfg.Ranges[i])
+		ws.FromPositions(gt.pos, ea.cfg.Ranges[i])
 	} else {
-		g = ws.ApplyPositions(gt.gids, gt.pos, ea.cfg.Ranges[i])
+		ws.ApplyPositions(gt.gids, gt.pos, ea.cfg.Ranges[i])
 	}
-	ct.observe(gt.ids, gt.fsT, g, gt.t, gt.first)
+	ct.observe(gt.ids, gt.fsT, ws, gt.t, gt.first)
 }
 
 // WorkspaceStats sums the incremental-engine counters across the whole

@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 
+	"slmob/internal/geom"
 	"slmob/internal/trace"
 )
 
@@ -33,18 +34,30 @@ func ZoneOccupation(tr *trace.Trace, landSize, cellSize float64) ([]float64, err
 			if s.Seated {
 				continue
 			}
-			cx := int(s.Pos.X / cellSize)
-			cy := int(s.Pos.Y / cellSize)
-			if cx < 0 || cy < 0 || cx >= n || cy >= n {
-				continue // outside the modelled footprint
+			if k, ok := zoneCell(s.Pos, cellSize, n); ok {
+				counts[k]++
 			}
-			counts[cy*n+cx]++
 		}
 		for _, c := range counts {
 			out = append(out, float64(c))
 		}
 	}
 	return out, nil
+}
+
+// zoneCell returns the index of the cell holding p on an n×n grid of
+// size-metre cells, and false when p lies outside the modelled footprint
+// [0, n·size)². Cell coordinates are floored, not truncated toward zero,
+// so a sample just below 0 falls outside rather than into row or
+// column 0.
+//
+//slmob:hotpath
+func zoneCell(p geom.Vec, size float64, n int) (int, bool) {
+	cx, cy := math.Floor(p.X/size), math.Floor(p.Y/size)
+	if !(cx >= 0 && cy >= 0 && cx < float64(n) && cy < float64(n)) {
+		return 0, false
+	}
+	return int(cy)*n + int(cx), true
 }
 
 // TripStats aggregates the per-session trip metrics of §3.2 (Fig. 4).

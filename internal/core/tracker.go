@@ -10,44 +10,50 @@ import (
 
 // pairState tracks an ongoing or past contact between one pair. States
 // live inline in the pair table's slots — no per-pair pointer is ever
-// allocated.
+// allocated. A pair's last-seen time is never stored: an open contact
+// was last seen at the tracker's previous snapshot, and a closed one at
+// its lastEnd.
 type pairState struct {
 	// start is the first snapshot time of the ongoing contact.
 	start int64
-	// lastSeen is the latest snapshot time at which the pair was in range.
-	lastSeen int64
-	// lastEnd is the end time of the pair's previous completed contact,
-	// used to emit inter-contact times; valid when hasPrev.
+	// lastEnd is the end time (last snapshot in range) of the pair's
+	// previous completed contact, used to emit inter-contact times;
+	// valid when hasPrev.
 	lastEnd int64
-	// seenGen is the tracker generation (snapshot ordinal) at which the
-	// pair was last observed in range — the allocation-free replacement
-	// for the old per-snapshot "in contact now" set.
-	seenGen uint64
 	// inContact marks a contact in progress as of the previous snapshot.
 	inContact bool
 	// leftCensored marks a contact already in progress at the first trace
 	// snapshot, whose true start is unknown.
 	leftCensored bool
 	hasPrev      bool
+	// seen marks, during a full scan, a pair found in range; the scan's
+	// closing walk over the table clears it.
+	seen bool
 }
 
-// pairSlot is one open-addressing slot: a key plus its inline state.
+// pairSlot is one open-addressing slot: a key plus its inline state. A
+// normalised key has A < B, so the zero key marks an empty slot and a
+// slot takes 40 bytes.
 type pairSlot struct {
-	key  pairKey
-	used bool
-	st   pairState
+	key pairKey
+	st  pairState
 }
+
+// used reports whether the slot holds a pair.
+//
+//slmob:hotpath
+func (s *pairSlot) used() bool { return s.key != pairKey{} }
 
 // pairTable is an open-addressed hash table over avatar pairs with
 // linear probing. Pairs are only ever inserted (a pair's history feeds
 // inter-contact times for the rest of the stream), so there is no
 // tombstone machinery. Lookups and steady-state insertions allocate
-// nothing; growth doubles the slot array at 3/4 load.
+// nothing; growth doubles the slot array at 3/4 load, on the first
+// lookupOrInsert after the insertion that reached it.
 type pairTable struct {
-	slots   []pairSlot
-	mask    uint64
-	n       int
-	rehashd bool // set when a grow relocated slots since last checked
+	slots []pairSlot
+	mask  uint64
+	n     int
 }
 
 const pairTableMinSize = 64
@@ -69,21 +75,25 @@ func (pt *pairTable) hash(k pairKey) uint64 {
 	return h
 }
 
+// full reports whether the table is at the load that makes the next
+// lookupOrInsert grow it first.
+//
+//slmob:hotpath
+func (pt *pairTable) full() bool { return pt.n*4 >= len(pt.slots)*3 }
+
 // lookupOrInsert returns the slot index of k, inserting a fresh state if
 // the pair is new. isNew reports the insertion. A grow may relocate every
-// slot; callers holding slot indices across insertions must check
-// rehashed().
+// slot, so slot indices are valid only until the next call.
 //
 //slmob:hotpath
 func (pt *pairTable) lookupOrInsert(k pairKey) (idx int, isNew bool) {
-	if pt.n*4 >= len(pt.slots)*3 {
+	if pt.full() {
 		pt.grow()
 	}
 	i := pt.hash(k) & pt.mask
 	for {
 		s := &pt.slots[i]
-		if !s.used {
-			s.used = true
+		if !s.used() {
 			s.key = k
 			s.st = pairState{}
 			pt.n++
@@ -96,39 +106,56 @@ func (pt *pairTable) lookupOrInsert(k pairKey) (idx int, isNew bool) {
 	}
 }
 
+// find returns the slot index of k, or -1 when the pair is not in the
+// table. It never grows the table.
+//
+//slmob:hotpath
+func (pt *pairTable) find(k pairKey) int {
+	i := pt.hash(k) & pt.mask
+	for {
+		s := &pt.slots[i]
+		if !s.used() {
+			return -1
+		}
+		if s.key == k {
+			return int(i)
+		}
+		i = (i + 1) & pt.mask
+	}
+}
+
 func (pt *pairTable) grow() {
 	old := pt.slots
 	pt.slots = make([]pairSlot, len(old)*2)
 	pt.mask = uint64(len(pt.slots) - 1)
 	for i := range old {
-		if !old[i].used {
+		if !old[i].used() {
 			continue
 		}
 		j := pt.hash(old[i].key) & pt.mask
-		for pt.slots[j].used {
+		for pt.slots[j].used() {
 			j = (j + 1) & pt.mask
 		}
 		pt.slots[j] = old[i]
 	}
-	pt.rehashd = true
-}
-
-// rehashed reports (and clears) whether a grow has relocated slots since
-// the previous check.
-func (pt *pairTable) rehashed() bool {
-	r := pt.rehashd
-	pt.rehashd = false
-	return r
 }
 
 // contactTracker is the per-range contact state machine shared by the
 // single-land Analyzer, the batch ExtractContacts, and the estate-global
 // analysis: it folds one proximity graph per snapshot into running
-// CT/ICT/FT distributions. The hot path is allocation-free at steady
-// state: pair states live inline in an open-addressed table, the old
-// per-snapshot "in contact now" map is replaced by generation stamps,
-// and end detection walks a compact active list (O(active), not O(pairs
-// ever seen)).
+// CT/ICT/FT distributions. A contact starts when its pair's edge is
+// linked and ends when it is unlinked, so the tracker is driven by the
+// graph workspace's edge changes (graph.Workspace.EdgeChanges): the pair
+// table is probed once per change (twice for a pair never seen before),
+// not once per edge, and a first contact — which can only start with a
+// pair never seen before — costs a first-contact probe only then. A snapshot whose graph was rebuilt
+// rather than patched (the first one, a range change, a churn fallback,
+// a FromPositions build, the first build after a checkpoint restore)
+// has no changes to read; the tracker then scans every edge, marking
+// the pairs in range, and ends the open contacts it did not mark. That
+// scan is what carries contacts open across a rebuild. Pair states live
+// inline in an open-addressed table and every path is allocation-free
+// at steady state.
 //
 // The tracker is the state-machine half of the metric; the event sink is
 // the ContactSet bound with bind(). Every completed event — a contact
@@ -139,14 +166,23 @@ func (pt *pairTable) rehashed() bool {
 // reproduce the whole-trace distributions bit-identically.
 type contactTracker struct {
 	tau int64
-	// gen is the snapshot ordinal; a pair with seenGen == gen is in
-	// contact in the current snapshot.
-	gen          uint64
+	// lastT is the time of the latest observed snapshot: the last-seen
+	// time of every open contact.
+	lastT int64
+	// open counts the contacts in progress.
+	open         int
 	table        *pairTable
-	active       []int32 // slot indices of pairs currently in contact
 	firstContact map[trace.AvatarID]int64
-	cs           *ContactSet
+	// fresh is per-snapshot scratch: the added edges whose pairs are not
+	// in the table yet.
+	fresh []freshPair
+	cs    *ContactSet
 }
+
+// freshPair is an added edge of a pair never seen before: its endpoints'
+// current indices u < v and v's position in u's adjacency list, which
+// fixes where a full scan would have met it.
+type freshPair struct{ u, v, at int32 }
 
 func newContactTracker(tau int64) *contactTracker {
 	return &contactTracker{
@@ -161,23 +197,33 @@ func newContactTracker(tau int64) *contactTracker {
 // remainder of the stream into a fresh accumulator.
 func (c *contactTracker) bind(cs *ContactSet) { c.cs = cs }
 
-// observe advances the state machine with the proximity graph g over the
-// avatars ids at snapshot time t. fsT holds each avatar's first-seen
-// time, aligned with ids, so first-contact waits are emitted the moment
-// the first contact happens. first marks the stream's first snapshot,
-// whose ongoing contacts are left-censored.
+// observe advances the state machine with the latest graph ws built over
+// the avatars ids at snapshot time t. ws must be the workspace whose
+// every build this tracker has observed, so that its edge changes are
+// changes since the tracker's previous snapshot. fsT holds each avatar's
+// first-seen time, aligned with ids, so first-contact waits are emitted
+// the moment the first contact happens. first marks the stream's first
+// snapshot, whose ongoing contacts are left-censored.
 //
 //slmob:hotpath
-func (c *contactTracker) observe(ids []trace.AvatarID, fsT []int64, g *graph.Graph, t int64, first bool) {
-	c.gen++
-	// Starts and continuations: every pair in range this snapshot gets
-	// the current generation stamp.
+func (c *contactTracker) observe(ids []trace.AvatarID, fsT []int64, ws *graph.Workspace, t int64, first bool) {
+	if added, removed, ok := ws.EdgeChanges(); ok {
+		c.apply(ids, fsT, ws.Graph(), added, removed, t)
+	} else {
+		c.scan(ids, fsT, ws.Graph(), t, first)
+	}
+	c.lastT = t
+}
+
+// scan folds a snapshot by visiting every edge of g: pairs in range are
+// marked seen, those not yet in contact start one, and open contacts
+// left unmarked end.
+//
+//slmob:hotpath
+func (c *contactTracker) scan(ids []trace.AvatarID, fsT []int64, g *graph.Graph, t int64, first bool) {
 	for i := range ids {
 		if g.Degree(i) > 0 {
-			if _, ok := c.firstContact[ids[i]]; !ok {
-				c.firstContact[ids[i]] = t
-				c.cs.FT.Add(float64(t - fsT[i]))
-			}
+			c.touch(ids[i], fsT[i], t)
 		}
 		for _, j := range g.Neighbors(i) {
 			if int(j) <= i {
@@ -188,51 +234,149 @@ func (c *contactTracker) observe(ids []trace.AvatarID, fsT []int64, g *graph.Gra
 				c.cs.Pairs++
 			}
 			st := &c.table.slots[idx].st
-			st.seenGen = c.gen
+			st.seen = true
 			if !st.inContact {
-				st.inContact = true
-				st.start = t
-				st.leftCensored = first
-				if st.hasPrev {
-					c.cs.ICT.Add(float64(t - st.lastEnd))
-				}
-				c.active = append(c.active, int32(idx))
-			}
-			st.lastSeen = t
-		}
-	}
-	// A table grow relocates slots; refresh the active list's indices
-	// before walking it. Order within the list is irrelevant — ends only
-	// feed the weighted distributions and counters.
-	if c.table.rehashed() {
-		c.active = c.active[:0]
-		for i := range c.table.slots {
-			s := &c.table.slots[i]
-			if s.used && s.st.inContact {
-				c.active = append(c.active, int32(i))
+				c.begin(st, t, first)
 			}
 		}
 	}
-	// Ends: active pairs not stamped this snapshot.
-	for k := 0; k < len(c.active); {
-		st := &c.table.slots[c.active[k]].st
-		if st.seenGen == c.gen {
-			k++
+	// Scans follow rebuilds only, so walking the whole table for the
+	// unmarked open contacts is rare.
+	for i := range c.table.slots {
+		switch st := &c.table.slots[i].st; {
+		case st.seen:
+			st.seen = false
+		case st.inContact:
+			c.end(st)
+		}
+	}
+}
+
+// apply folds a snapshot from the edge changes since the previous one:
+// every removed edge ends its pair's contact and every added edge starts
+// one. Pairs new to the table are inserted in the order a full scan of g
+// would meet them, and the table grows at the point such a scan would
+// grow it, so the table's layout — and with it the checkpoint bytes — is
+// the one the scan produces.
+//
+//slmob:hotpath
+func (c *contactTracker) apply(ids []trace.AvatarID, fsT []int64, g *graph.Graph, added []graph.Link, removed []graph.Unlink, t int64) {
+	for _, e := range removed {
+		idx := c.table.find(makePair(trace.AvatarID(e.A), trace.AvatarID(e.B)))
+		c.end(&c.table.slots[idx].st)
+	}
+	c.fresh = c.fresh[:0]
+	for _, e := range added {
+		u, v := min(e.U, e.V), max(e.U, e.V)
+		if idx := c.table.find(makePair(ids[u], ids[v])); idx >= 0 {
+			c.begin(&c.table.slots[idx].st, t, false)
 			continue
 		}
-		if st.leftCensored {
-			c.cs.Censored++
-		} else {
-			c.cs.CT.Add(float64(st.lastSeen - st.start + c.tau))
+		at := int32(0)
+		for g.Neighbors(int(u))[at] != v {
+			at++
 		}
-		st.lastEnd = st.lastSeen
-		st.hasPrev = true
-		st.inContact = false
-		st.leftCensored = false
-		last := len(c.active) - 1
-		c.active[k] = c.active[last]
-		c.active = c.active[:last]
+		c.fresh = append(c.fresh, freshPair{u: u, v: v, at: at})
 	}
+	sortFresh(c.fresh)
+	for _, p := range c.fresh {
+		idx, _ := c.table.lookupOrInsert(makePair(ids[p.u], ids[p.v]))
+		c.cs.Pairs++
+		c.touch(ids[p.u], fsT[p.u], t)
+		c.touch(ids[p.v], fsT[p.v], t)
+		c.begin(&c.table.slots[idx].st, t, false)
+	}
+	if c.table.full() && c.scanWouldProbe(g) {
+		c.table.grow()
+	}
+}
+
+// sortFresh orders fresh pairs as a full scan meets them: by lower
+// endpoint, then by position in its adjacency list. Insertion sort: the
+// list averages about a dozen pairs per snapshot on the bench's
+// city-hour and paper-day replays, and a hand-written sort needs no
+// comparator boxing on the hot path.
+//
+//slmob:hotpath
+func sortFresh(ps []freshPair) {
+	for i := 1; i < len(ps); i++ {
+		p := ps[i]
+		j := i
+		for ; j > 0 && (ps[j-1].u > p.u || ps[j-1].u == p.u && ps[j-1].at > p.at); j-- {
+			ps[j] = ps[j-1]
+		}
+		ps[j] = p
+	}
+}
+
+// scanWouldProbe reports whether a full scan of g would have called
+// lookupOrInsert after the insertion that filled the table — the call
+// at which it grows the table. That insertion is this snapshot's last
+// fresh pair if there was one; otherwise it happened in an earlier
+// snapshot and any edge of g is a later call. Called only at the end of
+// a snapshot that leaves the table full.
+//
+//slmob:hotpath
+func (c *contactTracker) scanWouldProbe(g *graph.Graph) bool {
+	from, at := 0, -1
+	if k := len(c.fresh); k > 0 {
+		from, at = int(c.fresh[k-1].u), int(c.fresh[k-1].at)
+	}
+	for i := from; i < g.N(); i++ {
+		nb := g.Neighbors(i)
+		if i == from {
+			nb = nb[at+1:]
+		}
+		for _, j := range nb {
+			if int(j) > i {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// touch records avatar id's first contact at t, emitting its
+// first-contact wait, unless it has had one before.
+//
+//slmob:hotpath
+func (c *contactTracker) touch(id trace.AvatarID, fs, t int64) {
+	if _, ok := c.firstContact[id]; !ok {
+		c.firstContact[id] = t
+		c.cs.FT.Add(float64(t - fs))
+	}
+}
+
+// begin starts a contact at t, emitting the inter-contact gap since the
+// pair's previous contact.
+//
+//slmob:hotpath
+func (c *contactTracker) begin(st *pairState, t int64, first bool) {
+	st.inContact = true
+	st.start = t
+	st.leftCensored = first
+	if st.hasPrev {
+		c.cs.ICT.Add(float64(t - st.lastEnd))
+	}
+	c.open++
+}
+
+// end closes an open contact that was last in range at the previous
+// snapshot, emitting its duration, or counting it as censored when its
+// start is unknown.
+//
+//slmob:hotpath
+func (c *contactTracker) end(st *pairState) {
+	if st.leftCensored {
+		c.cs.Censored++
+	} else {
+		c.cs.CT.Add(float64(c.lastT - st.start + c.tau))
+	}
+	st.lastEnd = c.lastT
+	st.hasPrev = true
+	st.inContact = false
+	st.leftCensored = false
+	c.open--
 }
 
 // finish right-censors contacts still open at the end of the stream and
@@ -240,7 +384,7 @@ func (c *contactTracker) observe(ids []trace.AvatarID, fsT []int64, g *graph.Gra
 // emitting both into the currently bound sink (the final window).
 // totalSeen is the number of distinct avatars ever observed.
 func (c *contactTracker) finish(totalSeen int) *ContactSet {
-	c.cs.Censored += len(c.active)
+	c.cs.Censored += c.open
 	if n := totalSeen - len(c.firstContact); n > 0 {
 		c.cs.NeverContacted += n
 	}

@@ -37,8 +37,9 @@ type WorkspaceStats struct {
 	Departed int64
 	// EdgesAdded / EdgesRemoved count the edges the delta path actually
 	// added and removed — an avatar that moved without gaining or losing
-	// a neighbour changes neither. Scratch rebuilds are not counted: the
-	// rates describe incremental work.
+	// a neighbour changes neither; they sum the lengths of EdgeChanges'
+	// lists. Scratch rebuilds are not counted: the rates describe
+	// incremental work.
 	EdgesAdded   int64
 	EdgesRemoved int64
 	// DiamReused / DiamComputed count Diameter calls answered from the
@@ -79,6 +80,28 @@ func (ws *Workspace) Stats() WorkspaceStats { return ws.stats }
 // (the parity-test configuration); 1 or more disables the fallback.
 func (ws *Workspace) SetChurnThreshold(t float64) { ws.d.thresh = t }
 
+// Link is an edge a patching ApplyPositions call added, named by the
+// current indices of its endpoints.
+type Link struct{ U, V int32 }
+
+// Unlink is an edge a patching ApplyPositions call removed, named by the
+// ids of its endpoints as they were when the edge went: a departed
+// avatar has no current index, and its slot may be handed to an arrival
+// within the same call.
+type Unlink struct{ A, B uint64 }
+
+// EdgeChanges returns the edges the latest build call added and removed
+// relative to the graph of the call before it; each edge appears at most
+// once, in one list. ok is false when that build did not patch the
+// previous graph — the first ApplyPositions call, a range change, a churn
+// fallback, and every FromPositions call and the ApplyPositions call
+// after one — and a caller tracking edges must then compare the new
+// graph against its own record. The slices alias workspace buffers that
+// the next build call overwrites.
+func (ws *Workspace) EdgeChanges() (added []Link, removed []Unlink, ok bool) {
+	return ws.d.links, ws.d.unlinks, ws.d.events
+}
+
 // deltaState is the temporal-coherence state ApplyPositions keeps between
 // snapshots. Avatars live in stable slots so that identity survives the
 // index reshuffling of arrivals and departures: the grid, the slot-space
@@ -87,6 +110,7 @@ func (ws *Workspace) SetChurnThreshold(t float64) { ws.d.thresh = t }
 // workspace's index-space CSR arena.
 type deltaState struct {
 	ok     bool    // the latest build came through ApplyPositions; slot state mirrors it
+	events bool    // the latest build patched the previous graph; links/unlinks hold the change
 	r      float64 // communication range the state is keyed to
 	thresh float64 // churn fallback threshold; 0 selects the default
 	epoch  int64   // ApplyPositions call counter, for generation stamps
@@ -120,6 +144,10 @@ type deltaState struct {
 	stamp int32
 	inN   []int32
 	inNew []int32
+
+	// Edge changes of the latest patching build (EdgeChanges).
+	links   []Link
+	unlinks []Unlink
 
 	// Per-call scratch.
 	departed []int32
@@ -177,10 +205,13 @@ func (ws *Workspace) ApplyPositions(ids []uint64, ps []geom.Vec, r float64) *Gra
 		}
 		rebuild = thresh < 0 || float64(changed) > thresh*float64(base)
 	}
-	added, removed := ws.stats.EdgesAdded, ws.stats.EdgesRemoved
+	d.links = d.links[:0]
+	d.unlinks = d.unlinks[:0]
+	d.events = !rebuild
 	if rebuild {
 		// A rebuild is the same patch from empty state: every avatar
-		// arrives, so slot == index and every edge is linked afresh.
+		// arrives, so slot == index and every edge is linked afresh. Its
+		// edges are not recorded as changes.
 		ws.stats.FullRebuilds++
 		d.reset(r)
 		d.diff(ids, ps)
@@ -188,10 +219,8 @@ func (ws *Workspace) ApplyPositions(ids []uint64, ps []geom.Vec, r float64) *Gra
 		ws.stats.Incremental++
 	}
 	ws.patch(ids, ps, r)
-	if rebuild {
-		// The edge counters describe incremental work only.
-		ws.stats.EdgesAdded, ws.stats.EdgesRemoved = added, removed
-	}
+	ws.stats.EdgesAdded += int64(len(d.links))
+	ws.stats.EdgesRemoved += int64(len(d.unlinks))
 	ws.translate(len(ids))
 	return &ws.g
 }
@@ -400,7 +429,9 @@ func (ws *Workspace) relinkSlot(s int32, r float64) {
 // diffSlot makes s's neighbour set equal to d.cand, unlinking the edges
 // that left it and linking the ones that joined; edges present in both
 // are not touched, so their endpoints keep their triangle counts and
-// diameter flags.
+// diameter flags. On a patching build every change is also recorded for
+// EdgeChanges: s and every live o have current indices by now, and a
+// departing s still holds its id.
 //
 //slmob:hotpath
 func (ws *Workspace) diffSlot(s int32) {
@@ -432,7 +463,9 @@ func (ws *Workspace) diffSlot(s int32) {
 				break
 			}
 		}
-		ws.stats.EdgesRemoved++
+		if d.events {
+			d.unlinks = append(d.unlinks, Unlink{A: d.id[s], B: d.id[o]})
+		}
 	}
 	for _, o := range d.cand {
 		if d.inN[o] == st {
@@ -442,7 +475,9 @@ func (ws *Workspace) diffSlot(s int32) {
 		d.nbr[s] = append(d.nbr[s], o)
 		d.nbr[o] = append(d.nbr[o], s)
 		d.inN[o] = st
-		ws.stats.EdgesAdded++
+		if d.events {
+			d.links = append(d.links, Link{U: d.idxOf[s], V: d.idxOf[o]})
+		}
 	}
 }
 

@@ -511,11 +511,13 @@ func deltaAllocFrames(n, frames int) (ids []uint64, frame [][]geom.Vec) {
 }
 
 // TestApplyPositionsZeroAllocSteadyState pins the tentpole contract on
-// the delta path: once warmed, an ApplyPositions → Diameter →
-// MeanClustering cycle — diff, grid moves, edge diff, triangle updates,
-// bounded diameter, clustering — allocates nothing, both with walkers
-// making and breaking edges and with paused avatars' micro-jitter
-// dirtying slots whose edges do not change.
+// the delta path: once warmed, an ApplyPositions → EdgeChanges →
+// Diameter → MeanClustering cycle — diff, grid moves, edge diff and its
+// recorded changes, triangle updates, bounded diameter, clustering —
+// allocates nothing: with walkers making and breaking edges, with paused
+// avatars' micro-jitter dirtying slots whose edges do not change, and
+// with one avatar departing and another arriving at its place in every
+// snapshot, so the arrival recycles the departed avatar's slot.
 func TestApplyPositionsZeroAllocSteadyState(t *testing.T) {
 	ids, frames := deltaAllocFrames(120, 8)
 	jitter := make([][]geom.Vec, len(frames))
@@ -525,31 +527,46 @@ func TestApplyPositionsZeroAllocSteadyState(t *testing.T) {
 			jitter[f][i].X += 0.01 * float64(f%2)
 		}
 	}
+	// Avatar ids[5] and a stand-in take turns at the same position.
+	swap := slices.Clone(ids)
+	swap[5] = 1 << 40
 	for _, tc := range []struct {
-		name   string
-		frames [][]geom.Vec
-	}{{"walkers", frames}, {"walkers+jitter", jitter}} {
-		ws := NewWorkspace()
-		for cycle := 0; cycle < 3; cycle++ {
-			for _, ps := range tc.frames {
-				ws.ApplyPositions(ids, ps, 10)
-				ws.Diameter()
-				ws.MeanClustering()
+		name    string
+		frames  [][]geom.Vec
+		recycle bool
+	}{{"walkers", frames, false}, {"walkers+jitter", jitter, false}, {"walkers+recycle", frames, true}} {
+		idsAt := func(f int) []uint64 {
+			if tc.recycle && f%2 == 1 {
+				return swap
 			}
+			return ids
+		}
+		ws := NewWorkspace()
+		changes := 0
+		cycleOnce := func(f int) {
+			ws.ApplyPositions(idsAt(f), tc.frames[f%len(tc.frames)], 10)
+			added, removed, _ := ws.EdgeChanges()
+			changes += len(added) + len(removed)
+			_ = ws.Diameter()
+			_ = ws.MeanClustering()
+		}
+		for f := 0; f < 3*len(tc.frames); f++ {
+			cycleOnce(f)
 		}
 		f := 0
 		avg := testing.AllocsPerRun(100, func() {
-			ws.ApplyPositions(ids, tc.frames[f%len(tc.frames)], 10)
-			_ = ws.Diameter()
-			_ = ws.MeanClustering()
+			cycleOnce(f)
 			f++
 		})
 		if avg != 0 {
 			t.Errorf("%s: steady-state cycle allocates %v per snapshot, want 0", tc.name, avg)
 		}
 		st := ws.Stats()
-		if st.Incremental == 0 || st.FullRebuilds != 1 {
-			t.Fatalf("%s: pin did not exercise the incremental path: %+v", tc.name, st)
+		if st.Incremental == 0 || st.FullRebuilds != 1 || changes == 0 {
+			t.Fatalf("%s: pin did not exercise the incremental path: %+v, %d edge changes", tc.name, st, changes)
+		}
+		if tc.recycle && (st.Arrived == 0 || st.Departed == 0) {
+			t.Fatalf("%s: no departure and arrival: %+v", tc.name, st)
 		}
 	}
 }

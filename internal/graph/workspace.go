@@ -81,6 +81,7 @@ func growInt32(buf []int32, n int) []int32 {
 //slmob:hotpath
 func (ws *Workspace) FromPositions(ps []geom.Vec, r float64) *Graph {
 	ws.d.ok = false
+	ws.d.events = false
 	n := len(ps)
 	if cap(ws.adj) < n {
 		ws.adj = make([][]int32, n, n+n/2+8)
