@@ -1,6 +1,6 @@
 // Command slbench regenerates the paper's complete evaluation: it
 // simulates all three target lands for 24 hours, runs the full analysis,
-// prints the paper-vs-measured report (the source of EXPERIMENTS.md),
+// prints the paper-vs-measured report (BuildReport),
 // renders every figure panel as an ASCII chart, and optionally exports
 // the panels as CSV.
 //

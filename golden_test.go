@@ -10,7 +10,6 @@ package slmob
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -339,15 +338,9 @@ func TestGoldenCheckpointResume(t *testing.T) {
 	assertGoldenAnalysis(t, got, want)
 }
 
-// goldenCkptSHA256 pins the bytes of a checkpoint taken at goldenCkptAt
-// by the current code. The committed fixture predates later changes to
-// the graph's adjacency order, which move pairs within the pair table,
-// so it is pinned by its resume digest (above) rather than byte for
-// byte; this pin catches any drift from here on.
-const goldenCkptSHA256 = "c59b4d386e5d12a16315896d3c8d14ee71184166ac30f0008d2f11d76c45ec41"
-
 // TestGoldenCheckpointBytesPinned checkpoints the golden analysis at
-// goldenCkptAt and compares the bytes' digest with the pinned one.
+// goldenCkptAt and compares the bytes with the committed fixture, so the
+// fixture is always what the code writes (-update rewrites both).
 func TestGoldenCheckpointBytesPinned(t *testing.T) {
 	fs, err := OpenTraceStream(goldenTracePath)
 	if err != nil {
@@ -375,8 +368,13 @@ func TestGoldenCheckpointBytesPinned(t *testing.T) {
 	if err := Checkpoint(&buf, a, fs); err != nil {
 		t.Fatal(err)
 	}
-	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != goldenCkptSHA256 {
-		t.Fatalf("checkpoint at t=%d has sha256 %s, want %s", goldenCkptAt, got, goldenCkptSHA256)
+	want, err := os.ReadFile(goldenCkptPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("checkpoint at t=%d (%d bytes) differs from %s (%d bytes); rerun with -update",
+			goldenCkptAt, buf.Len(), goldenCkptPath, len(want))
 	}
 }
 

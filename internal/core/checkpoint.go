@@ -55,9 +55,13 @@ const (
 	KindAnalysis uint64 = 5
 )
 
-// checkpointVersion guards the analyzer payload layout (bumped
-// independently of the snap container version).
-const checkpointVersion = 1
+// checkpointVersion guards the analyzer and windowed checkpoint payload
+// layout (bumped independently of the snap container version). Version 2
+// writes pairs in key order, without the derived last-seen time. The
+// analysis wire payload keeps its own analysisVersion (wire.go): its
+// layout did not change at version 2, and its bytes are what analysis
+// digests hash.
+const checkpointVersion = 2
 
 // maxZoneGridEdge bounds the decoded zone grid: no real land or estate
 // region needs more cells per edge, and a corrupted snapshot must not
@@ -397,28 +401,27 @@ func decodeAnalyzer(r *snap.Reader) (*Analyzer, error) {
 
 // ---- Component encoders ----
 
+// encodeTracker writes the first-contact map and the pair table, both in
+// ascending key order, so equal tracker states encode identically
+// whatever the table's insertion history.
 func encodeTracker(w *snap.Writer, ct *contactTracker) {
 	w.Uvarint(uint64(len(ct.firstContact)))
 	for _, id := range sortedKeys(ct.firstContact) {
 		w.Uvarint(uint64(id))
 		w.Varint(ct.firstContact[id])
 	}
-	w.Uvarint(uint64(ct.table.n))
+	pairs := make([]*pairSlot, 0, ct.table.n)
 	for i := range ct.table.slots {
-		sl := &ct.table.slots[i]
-		if !sl.used() {
-			continue
+		if ct.table.slots[i].used() {
+			pairs = append(pairs, &ct.table.slots[i])
 		}
+	}
+	slices.SortFunc(pairs, func(x, y *pairSlot) int { return x.key.compare(y.key) })
+	w.Uvarint(uint64(len(pairs)))
+	for _, sl := range pairs {
 		w.Uvarint(uint64(sl.key.A))
 		w.Uvarint(uint64(sl.key.B))
 		w.Varint(sl.st.start)
-		// The last-seen time the format keeps per pair: the latest
-		// snapshot for an open contact, the last end for a closed one.
-		if sl.st.inContact {
-			w.Varint(ct.lastT)
-		} else {
-			w.Varint(sl.st.lastEnd)
-		}
 		w.Varint(sl.st.lastEnd)
 		var flags uint64
 		if sl.st.inContact {
@@ -449,13 +452,13 @@ func decodeTracker(r *snap.Reader, ct *contactTracker, lastT int64) error {
 		}
 		ct.firstContact[id] = t
 	}
-	np := r.Count(7)
+	np := r.Count(6)
+	ct.table = newPairTable(np)
+	var prev pairKey
 	for i := 0; i < np; i++ {
-		aID := trace.AvatarID(r.Uvarint())
-		bID := trace.AvatarID(r.Uvarint())
+		k := pairKey{A: trace.AvatarID(r.Uvarint()), B: trace.AvatarID(r.Uvarint())}
 		var st pairState
 		st.start = r.Varint()
-		lastSeen := r.Varint()
 		st.lastEnd = r.Varint()
 		flags := r.Uvarint()
 		if r.Err() != nil {
@@ -464,19 +467,19 @@ func decodeTracker(r *snap.Reader, ct *contactTracker, lastT int64) error {
 		if flags > 7 {
 			return &snap.Error{Kind: snap.KindMalformed, Msg: "bad pair flags"}
 		}
-		if aID >= bID {
+		if k.A >= k.B {
 			return &snap.Error{Kind: snap.KindMalformed, Msg: "pair key not normalised"}
 		}
+		// Ascending order is what the encoder writes; it also rules out
+		// a repeated pair.
+		if i > 0 && prev.compare(k) >= 0 {
+			return &snap.Error{Kind: snap.KindMalformed, Msg: "pairs not in ascending key order"}
+		}
+		prev = k
 		st.inContact = flags&1 != 0
 		st.leftCensored = flags&2 != 0
 		st.hasPrev = flags&4 != 0
-		if st.inContact && lastSeen != lastT || !st.inContact && lastSeen != st.lastEnd {
-			return &snap.Error{Kind: snap.KindMalformed, Msg: "pair last-seen time inconsistent with its state"}
-		}
-		idx, isNew := ct.table.lookupOrInsert(pairKey{A: aID, B: bID})
-		if !isNew {
-			return &snap.Error{Kind: snap.KindMalformed, Msg: "duplicate pair in checkpoint"}
-		}
+		idx, _ := ct.table.lookupOrInsert(k)
 		ct.table.slots[idx].st = st
 		if st.inContact {
 			ct.open++

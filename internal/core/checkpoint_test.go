@@ -3,8 +3,11 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
+	"slices"
 	"testing"
 
 	"slmob/internal/snap"
@@ -194,6 +197,73 @@ func TestCheckpointDecoderRejects(t *testing.T) {
 	if _, err := RestoreWindowedAnalyzer(blob); !errors.As(err, &se) {
 		t.Errorf("windowed restore of plain blob: %v", err)
 	}
+
+	wantKind := func(name string, kind snap.ErrKind, err error) {
+		t.Helper()
+		var se *snap.Error
+		if !errors.As(err, &se) || se.Kind != kind {
+			t.Errorf("%s: err = %v, want *snap.Error of kind %v", name, err, kind)
+		}
+	}
+	// Version skew: a version-1 payload is refused before its body is
+	// read, whatever the body holds.
+	w := snap.NewWriter(KindAnalyzer)
+	w.Uvarint(1)
+	a.encodeState(w)
+	_, err = RestoreAnalyzer(w.Finish())
+	wantKind("version 1", snap.KindVersion, err)
+	w = snap.NewWriter(KindWindowed)
+	w.Uvarint(1)
+	w.Varint(100) // window
+	w.Bool(true)  // started
+	w.Varint(0)   // curIdx
+	w.Bool(false) // hooked
+	w.Varint(0)   // first
+	w.Uvarint(0)  // no collected windows
+	a.encodeState(w)
+	_, err = RestoreWindowedAnalyzer(w.Finish())
+	wantKind("version 1 (windowed)", snap.KindVersion, err)
+
+	// Pair records out of key order, or repeated, are malformed.
+	_, err = RestoreAnalyzer(withPairRecords(t, blob, a.ranges[0].ct, 1, 0))
+	wantKind("swapped pairs", snap.KindMalformed, err)
+	_, err = RestoreAnalyzer(withPairRecords(t, blob, a.ranges[0].ct, 0, 0))
+	wantKind("repeated pair", snap.KindMalformed, err)
+}
+
+// withPairRecords returns the checkpoint blob with the first two pair
+// records of ct's section replaced by its records i and j, resealed with
+// a valid checksum.
+func withPairRecords(t *testing.T, blob []byte, ct *contactTracker, i, j int) []byte {
+	t.Helper()
+	tb := encodeTrackerBytes(ct)
+	hdr := len(snap.NewWriter(KindAnalyzer).Finish()) - 4
+	sec := tb[hdr : len(tb)-4]
+	base := bytes.Index(blob, sec)
+	r, err := snap.NewReader(tb)
+	if err != nil || base < 0 {
+		t.Fatalf("tracker section not found in the checkpoint (%v)", err)
+	}
+	for n := r.Count(2); n > 0; n-- {
+		r.Uvarint()
+		r.Varint()
+	}
+	var at []int // record boundaries within sec
+	for n := r.Count(6); n > 0; n-- {
+		at = append(at, len(sec)-r.Remaining())
+		r.Uvarint()
+		r.Uvarint()
+		r.Varint()
+		r.Varint()
+		r.Uvarint()
+	}
+	at = append(at, len(sec)-r.Remaining())
+	if r.Err() != nil || len(at) < 3 {
+		t.Fatalf("tracker section holds %d pairs (%v), want at least 2", len(at)-1, r.Err())
+	}
+	rec := func(k int) []byte { return sec[at[k]:at[k+1]] }
+	body := slices.Concat(blob[:base+at[0]], rec(i), rec(j), blob[base+at[2]:len(blob)-4])
+	return binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
 }
 
 // TestCheckpointResumeAtTimeZero: a stream whose first snapshot is at
@@ -324,5 +394,81 @@ func TestCheckpointBytesReproducible(t *testing.T) {
 	}
 	if !bytes.Equal(b1, b2) {
 		t.Fatalf("two checkpoints of identical state differ: %d vs %d bytes", len(b1), len(b2))
+	}
+}
+
+// TestCheckpointResumeBytesDifferential pins canonical checkpoints: an
+// analyzer restored mid-stream and fed the rest of the stream writes,
+// after every later snapshot, the same checkpoint bytes as the run that
+// was never interrupted, and finishes with the same digest. The cuts
+// fall with contacts open, just after a pair table grew and just after
+// a churn fallback rebuilt the graphs — the points where a checkpoint
+// that followed the table's layout would drift.
+func TestCheckpointResumeBytesDifferential(t *testing.T) {
+	snaps, _, _ := eventStream(3, 240, 40, []int{70, 120, 200})
+	cfg := Config{Ranges: []float64{10, 80}}
+	a, err := NewAnalyzer("bytes", 10, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpts := make([][]byte, len(snaps))
+	openAt, grownAt, fellBackAt := -1, -1, -1
+	for k, s := range snaps {
+		slots := len(a.ranges[1].ct.table.slots)
+		rebuilds := a.WorkspaceStats().FullRebuilds
+		if err := a.Observe(s); err != nil {
+			t.Fatal(err)
+		}
+		if ckpts[k], err = a.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case k == 0:
+		case grownAt < 0 && len(a.ranges[1].ct.table.slots) > slots:
+			grownAt = k
+		case fellBackAt < 0 && a.WorkspaceStats().FullRebuilds > rebuilds:
+			fellBackAt = k
+		case openAt < 0 && a.ranges[0].ct.open > 0 && a.ranges[1].ct.open > 0:
+			openAt = k
+		}
+	}
+	if openAt < 0 || grownAt < 0 || fellBackAt < 0 {
+		t.Fatalf("cut points: open=%d grown=%d fallback=%d; want all found", openAt, grownAt, fellBackAt)
+	}
+	whole, err := a.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantDigest, err := AnalysisDigest(whole)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, cut := range []int{openAt, grownAt, fellBackAt} {
+		b, err := RestoreAnalyzer(ckpts[cut])
+		if err != nil {
+			t.Fatalf("cut %d: %v", cut, err)
+		}
+		for k := cut; k < len(snaps); k++ {
+			if k > cut {
+				if err := b.Observe(snaps[k]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			blob, err := b.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(blob, ckpts[k]) {
+				t.Fatalf("cut %d: checkpoint after snapshot %d differs from the uninterrupted run's", cut, k)
+			}
+		}
+		resumed, err := b.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := AnalysisDigest(resumed); err != nil || got != wantDigest {
+			t.Fatalf("cut %d: resumed digest %s (%v), want %s", cut, got, err, wantDigest)
+		}
 	}
 }

@@ -25,6 +25,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 
 	"slmob/internal/geom"
@@ -43,6 +44,15 @@ func makePair(a, b trace.AvatarID) pairKey {
 		a, b = b, a
 	}
 	return pairKey{A: a, B: b}
+}
+
+// compare orders pair keys by A, then B — the order checkpoints write
+// pairs in.
+func (k pairKey) compare(o pairKey) int {
+	if c := cmp.Compare(k.A, o.A); c != 0 {
+		return c
+	}
+	return cmp.Compare(k.B, o.B)
 }
 
 // ContactSet is the result of contact extraction at one communication

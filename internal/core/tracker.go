@@ -49,7 +49,8 @@ func (s *pairSlot) used() bool { return s.key != pairKey{} }
 // inter-contact times for the rest of the stream), so there is no
 // tombstone machinery. Lookups and steady-state insertions allocate
 // nothing; growth doubles the slot array at 3/4 load, on the first
-// lookupOrInsert after the insertion that reached it.
+// lookupOrInsert after the insertion that reached it. The layout is
+// never serialised: checkpoints write pairs in key order.
 type pairTable struct {
 	slots []pairSlot
 	mask  uint64
@@ -58,8 +59,15 @@ type pairTable struct {
 
 const pairTableMinSize = 64
 
-func newPairTable() *pairTable {
-	return &pairTable{slots: make([]pairSlot, pairTableMinSize), mask: pairTableMinSize - 1}
+// newPairTable returns a table sized for pairs entries: the smallest
+// power of two of at least pairTableMinSize slots that holds them under
+// 3/4 load.
+func newPairTable(pairs int) *pairTable {
+	size := pairTableMinSize
+	for pairs*4 >= size*3 {
+		size *= 2
+	}
+	return &pairTable{slots: make([]pairSlot, size), mask: uint64(size - 1)}
 }
 
 // hash mixes both avatar IDs with a splitmix64-style finaliser.
@@ -75,19 +83,13 @@ func (pt *pairTable) hash(k pairKey) uint64 {
 	return h
 }
 
-// full reports whether the table is at the load that makes the next
-// lookupOrInsert grow it first.
-//
-//slmob:hotpath
-func (pt *pairTable) full() bool { return pt.n*4 >= len(pt.slots)*3 }
-
 // lookupOrInsert returns the slot index of k, inserting a fresh state if
 // the pair is new. isNew reports the insertion. A grow may relocate every
 // slot, so slot indices are valid only until the next call.
 //
 //slmob:hotpath
 func (pt *pairTable) lookupOrInsert(k pairKey) (idx int, isNew bool) {
-	if pt.full() {
+	if pt.n*4 >= len(pt.slots)*3 {
 		pt.grow()
 	}
 	i := pt.hash(k) & pt.mask
@@ -146,9 +148,9 @@ func (pt *pairTable) grow() {
 // CT/ICT/FT distributions. A contact starts when its pair's edge is
 // linked and ends when it is unlinked, so the tracker is driven by the
 // graph workspace's edge changes (graph.Workspace.EdgeChanges): the pair
-// table is probed once per change (twice for a pair never seen before),
-// not once per edge, and a first contact — which can only start with a
-// pair never seen before — costs a first-contact probe only then. A snapshot whose graph was rebuilt
+// table is probed once per change, not once per edge, and a first
+// contact — which can only start with a pair never seen before — costs
+// a first-contact probe only then. A snapshot whose graph was rebuilt
 // rather than patched (the first one, a range change, a churn fallback,
 // a FromPositions build, the first build after a checkpoint restore)
 // has no changes to read; the tracker then scans every edge, marking
@@ -173,21 +175,13 @@ type contactTracker struct {
 	open         int
 	table        *pairTable
 	firstContact map[trace.AvatarID]int64
-	// fresh is per-snapshot scratch: the added edges whose pairs are not
-	// in the table yet.
-	fresh []freshPair
-	cs    *ContactSet
+	cs           *ContactSet
 }
-
-// freshPair is an added edge of a pair never seen before: its endpoints'
-// current indices u < v and v's position in u's adjacency list, which
-// fixes where a full scan would have met it.
-type freshPair struct{ u, v, at int32 }
 
 func newContactTracker(tau int64) *contactTracker {
 	return &contactTracker{
 		tau:          tau,
-		table:        newPairTable(),
+		table:        newPairTable(0),
 		firstContact: make(map[trace.AvatarID]int64),
 	}
 }
@@ -208,7 +202,7 @@ func (c *contactTracker) bind(cs *ContactSet) { c.cs = cs }
 //slmob:hotpath
 func (c *contactTracker) observe(ids []trace.AvatarID, fsT []int64, ws *graph.Workspace, t int64, first bool) {
 	if added, removed, ok := ws.EdgeChanges(); ok {
-		c.apply(ids, fsT, ws.Graph(), added, removed, t)
+		c.apply(ids, fsT, added, removed, t)
 	} else {
 		c.scan(ids, fsT, ws.Graph(), t, first)
 	}
@@ -254,86 +248,25 @@ func (c *contactTracker) scan(ids []trace.AvatarID, fsT []int64, g *graph.Graph,
 
 // apply folds a snapshot from the edge changes since the previous one:
 // every removed edge ends its pair's contact and every added edge starts
-// one. Pairs new to the table are inserted in the order a full scan of g
-// would meet them, and the table grows at the point such a scan would
-// grow it, so the table's layout — and with it the checkpoint bytes — is
-// the one the scan produces.
+// one. An added edge of a pair never seen before inserts the pair, counts
+// it and records its endpoints' first contacts. Only per-pair state
+// matters; where a pair lands in the table does not.
 //
 //slmob:hotpath
-func (c *contactTracker) apply(ids []trace.AvatarID, fsT []int64, g *graph.Graph, added []graph.Link, removed []graph.Unlink, t int64) {
+func (c *contactTracker) apply(ids []trace.AvatarID, fsT []int64, added []graph.Link, removed []graph.Unlink, t int64) {
 	for _, e := range removed {
 		idx := c.table.find(makePair(trace.AvatarID(e.A), trace.AvatarID(e.B)))
 		c.end(&c.table.slots[idx].st)
 	}
-	c.fresh = c.fresh[:0]
 	for _, e := range added {
-		u, v := min(e.U, e.V), max(e.U, e.V)
-		if idx := c.table.find(makePair(ids[u], ids[v])); idx >= 0 {
-			c.begin(&c.table.slots[idx].st, t, false)
-			continue
+		idx, isNew := c.table.lookupOrInsert(makePair(ids[e.U], ids[e.V]))
+		if isNew {
+			c.cs.Pairs++
+			c.touch(ids[e.U], fsT[e.U], t)
+			c.touch(ids[e.V], fsT[e.V], t)
 		}
-		at := int32(0)
-		for g.Neighbors(int(u))[at] != v {
-			at++
-		}
-		c.fresh = append(c.fresh, freshPair{u: u, v: v, at: at})
-	}
-	sortFresh(c.fresh)
-	for _, p := range c.fresh {
-		idx, _ := c.table.lookupOrInsert(makePair(ids[p.u], ids[p.v]))
-		c.cs.Pairs++
-		c.touch(ids[p.u], fsT[p.u], t)
-		c.touch(ids[p.v], fsT[p.v], t)
 		c.begin(&c.table.slots[idx].st, t, false)
 	}
-	if c.table.full() && c.scanWouldProbe(g) {
-		c.table.grow()
-	}
-}
-
-// sortFresh orders fresh pairs as a full scan meets them: by lower
-// endpoint, then by position in its adjacency list. Insertion sort: the
-// list averages about a dozen pairs per snapshot on the bench's
-// city-hour and paper-day replays, and a hand-written sort needs no
-// comparator boxing on the hot path.
-//
-//slmob:hotpath
-func sortFresh(ps []freshPair) {
-	for i := 1; i < len(ps); i++ {
-		p := ps[i]
-		j := i
-		for ; j > 0 && (ps[j-1].u > p.u || ps[j-1].u == p.u && ps[j-1].at > p.at); j-- {
-			ps[j] = ps[j-1]
-		}
-		ps[j] = p
-	}
-}
-
-// scanWouldProbe reports whether a full scan of g would have called
-// lookupOrInsert after the insertion that filled the table — the call
-// at which it grows the table. That insertion is this snapshot's last
-// fresh pair if there was one; otherwise it happened in an earlier
-// snapshot and any edge of g is a later call. Called only at the end of
-// a snapshot that leaves the table full.
-//
-//slmob:hotpath
-func (c *contactTracker) scanWouldProbe(g *graph.Graph) bool {
-	from, at := 0, -1
-	if k := len(c.fresh); k > 0 {
-		from, at = int(c.fresh[k-1].u), int(c.fresh[k-1].at)
-	}
-	for i := from; i < g.N(); i++ {
-		nb := g.Neighbors(i)
-		if i == from {
-			nb = nb[at+1:]
-		}
-		for _, j := range nb {
-			if int(j) > i {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // touch records avatar id's first contact at t, emitting its

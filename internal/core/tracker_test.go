@@ -147,10 +147,11 @@ func diffContactSets(got, want *ContactSet) string {
 // that ended an ongoing contact at a rebuild would emit extra CT and
 // ICT samples and fail here.
 //
-// A third tracker scans the graph of the workspace under test: its pair
+// A third tracker scans the graph of the workspace under test. Its pair
 // table must encode to the same checkpoint bytes as the event tracker's
-// after every snapshot, which pins that events insert new pairs, and
-// grow the table, exactly where the scan does.
+// after every snapshot: checkpoints write pairs in key order, so this
+// pins that both hold the same pairs with the same per-pair state,
+// wherever each table placed them.
 func TestContactEventsDifferential(t *testing.T) {
 	const (
 		tau       = 10

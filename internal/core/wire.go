@@ -16,6 +16,11 @@ import (
 	"slmob/internal/snap"
 )
 
+// analysisVersion guards the wire payload layout: encodeAnalysis, which
+// the windowed checkpoint embeds too, so a change to it bumps
+// checkpointVersion as well.
+const analysisVersion = 1
+
 // EncodeAnalysis serialises one completed Analysis as a standalone
 // versioned blob (the live query service's wire payload). The encoding
 // is deterministic: analyses with equal contents yield identical bytes.
@@ -27,7 +32,7 @@ func EncodeAnalysis(an *Analysis) ([]byte, error) {
 		return nil, fmt.Errorf("core: analysis %q is incomplete (nil Zones or Trips)", an.Land)
 	}
 	w := snap.NewWriter(KindAnalysis)
-	w.Uvarint(checkpointVersion)
+	w.Uvarint(analysisVersion)
 	encodeAnalysis(w, an)
 	return w.Finish(), nil
 }
@@ -43,8 +48,8 @@ func DecodeAnalysis(data []byte) (*Analysis, error) {
 	if r.Kind() != KindAnalysis {
 		return nil, &snap.Error{Kind: snap.KindMalformed, Msg: fmt.Sprintf("payload kind %d is not an analysis", r.Kind())}
 	}
-	if v := r.Uvarint(); r.Err() == nil && v != checkpointVersion {
-		return nil, &snap.Error{Kind: snap.KindVersion, Msg: fmt.Sprintf("analysis version %d, want %d", v, checkpointVersion)}
+	if v := r.Uvarint(); r.Err() == nil && v != analysisVersion {
+		return nil, &snap.Error{Kind: snap.KindVersion, Msg: fmt.Sprintf("analysis version %d, want %d", v, analysisVersion)}
 	}
 	an, err := decodeAnalysis(r)
 	if err != nil {

@@ -6,8 +6,8 @@ import (
 )
 
 // TestCalibrationReport runs the full 24-hour reproduction and prints the
-// paper-vs-measured table. It is the single source of truth for
-// EXPERIMENTS.md numbers; run with -v to see the table.
+// paper-vs-measured table. It is the single source of truth for the
+// measured numbers; run with -v to see the table.
 func TestCalibrationReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("24h calibration run skipped in -short mode")

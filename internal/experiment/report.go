@@ -344,7 +344,7 @@ func BuildReport(runs []*LandRun) (*Report, error) {
 	// "90% of users are logged in for less than 1 hour" (§4). The bound
 	// carries ~25% slack: the paper's own Little's-law session means
 	// (concurrency x day / unique) put the aggregate p90 slightly above
-	// 3600 s; see EXPERIMENTS.md for the discussion.
+	// 3600 s.
 	rep.Rows = append(rep.Rows,
 		boundRow("F4c", "all", "longest session", 14400, maxSession, true, "s"),
 		boundRow("F4c", "all", "aggregate session p90", 4500, quantile(allSessions, 0.9), true, "s"))

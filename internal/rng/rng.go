@@ -1,8 +1,9 @@
 // Package rng provides the deterministic random number generation used by
 // every stochastic component in the repository. Simulations are seeded with
 // a single 64-bit value and fan out into independent named streams, so an
-// entire 24-hour metaverse run — and therefore every figure in
-// EXPERIMENTS.md — is bit-for-bit reproducible.
+// entire 24-hour metaverse run — and therefore every row of the
+// paper-vs-measured report (TestCalibrationReport, run with -v) — is
+// bit-for-bit reproducible.
 //
 // The generator is xoshiro256** seeded through splitmix64, implemented here
 // so the library depends only on the standard library and so streams can be

@@ -2,8 +2,7 @@ package stats
 
 import "fmt"
 
-// Summary condenses a sample into the descriptive statistics reported
-// throughout EXPERIMENTS.md.
+// Summary condenses a sample into its descriptive statistics.
 type Summary struct {
 	N      int
 	Mean   float64

@@ -52,8 +52,9 @@
 //
 // The subsystems live in internal packages; everything a downstream user
 // needs is re-exported here. DESIGN.md documents the architecture, the
-// streaming pipeline, and the per-experiment index; EXPERIMENTS.md
-// records paper-vs-measured values.
+// streaming pipeline, and the per-experiment index; BuildReport (and
+// TestCalibrationReport in internal/experiment, run with -v) prints the
+// paper-vs-measured values.
 package slmob
 
 import (
@@ -200,7 +201,8 @@ func RunPaperLandsContext(ctx context.Context, seed uint64, duration int64) ([]*
 }
 
 // BuildReport compares three land runs against the paper's published
-// values, row by row (see EXPERIMENTS.md).
+// values, row by row; TestCalibrationReport in internal/experiment prints
+// the table for a full 24 h run with -v.
 func BuildReport(runs []*LandRun) (*Report, error) {
 	return experiment.BuildReport(runs)
 }
