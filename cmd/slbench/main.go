@@ -155,9 +155,6 @@ type benchOutput struct {
 	// QueryBench measures the live analytics query endpoint: round-trip
 	// latency quantiles against a sealed served estate.
 	QueryBench *queryBench `json:"query_bench,omitempty"`
-	// TickBench measures the parallel tick engine: whole-estate tick wall
-	// time and throughput at several worker counts, per preset.
-	TickBench []tickBench `json:"tick_bench,omitempty"`
 	// ServingBench measures the map-serving path: per-kind bytes-per-push
 	// for whole-land versus AOI-delta avatar subscribers on a short
 	// self-hosted estate.
@@ -180,81 +177,6 @@ type servingBench struct {
 	// FullToAOIRatio is avatar over AOI bytes-per-push — the factor the
 	// baseline gate keeps from collapsing.
 	FullToAOIRatio float64 `json:"full_to_aoi_ratio"`
-}
-
-// tickBench is one estate preset's -tick-bench measurement: the same
-// seed stepped through the same number of whole-estate ticks at each
-// worker count. Worker count never changes the simulation (the
-// differential gates pin that); these runs measure only wall time.
-type tickBench struct {
-	Estate  string `json:"estate"`
-	Regions int    `json:"regions"`
-	Ticks   int64  `json:"ticks"`
-	// Cores is the bench machine's CPU count — the scaling gate only
-	// demands its multicore speedup factor on machines that have the
-	// cores to show it.
-	Cores int       `json:"cores"`
-	Runs  []tickRun `json:"runs"`
-}
-
-// tickRun is one worker count's measurement within a tickBench.
-type tickRun struct {
-	Workers     int     `json:"workers"`
-	WallMS      float64 `json:"wall_ms"`
-	TicksPerSec float64 `json:"ticks_per_sec"`
-	// Speedup is this run's throughput over the serial run's.
-	Speedup float64 `json:"speedup"`
-}
-
-// tickThroughput returns the run entry for a worker count, nil if absent.
-func (tb tickBench) run(workers int) *tickRun {
-	for i := range tb.Runs {
-		if tb.Runs[i].Workers == workers {
-			return &tb.Runs[i]
-		}
-	}
-	return nil
-}
-
-// tickBenchRun steps one estate preset for a fixed number of ticks at
-// each worker count, measuring whole-estate tick throughput. Every run
-// rebuilds the estate from the same seed, so each one performs the
-// identical simulation work — construction and warmup are excluded from
-// the timed span.
-func tickBenchRun(ctx context.Context, cfg world.EstateConfig, ticks int64) (tickBench, error) {
-	tb := tickBench{
-		Estate:  cfg.Name,
-		Regions: cfg.Rows * cfg.Cols,
-		Ticks:   ticks,
-		Cores:   runtime.NumCPU(),
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		if err := ctx.Err(); err != nil {
-			return tb, err
-		}
-		c := cfg
-		c.SimWorkers = workers
-		sim, err := world.NewEstateSim(c)
-		if err != nil {
-			return tb, err
-		}
-		start := time.Now()
-		sim.RunUntil(ticks)
-		wall := time.Since(start)
-		sim.Close()
-		run := tickRun{
-			Workers:     workers,
-			WallMS:      float64(wall.Microseconds()) / 1000,
-			TicksPerSec: float64(ticks) / wall.Seconds(),
-		}
-		if serial := tb.run(1); serial != nil && serial.TicksPerSec > 0 {
-			run.Speedup = run.TicksPerSec / serial.TicksPerSec
-		} else if workers == 1 {
-			run.Speedup = 1
-		}
-		tb.Runs = append(tb.Runs, run)
-	}
-	return tb, nil
 }
 
 // queryBench is the -query-bench measurement: a served estate is run to
@@ -393,37 +315,6 @@ func compareBaseline(fresh benchOutput, path string, tol, wallTol, allocTol floa
 		fresh.Incremental.IncrementalFrac < base.Incremental.IncrementalFrac/2 {
 		return fmt.Errorf("incremental fraction %.3f collapsed from baseline %.3f",
 			fresh.Incremental.IncrementalFrac, base.Incremental.IncrementalFrac)
-	}
-	// Parallel tick-engine gate: serial whole-estate tick throughput must
-	// not collapse (same slowdown factor as the wall-time gates), and on
-	// a machine with the cores to show it, stepping the city-scale estate
-	// with 8 workers must keep buying at least a 3x throughput gain over
-	// serial — the scaling floor the parallel tick engine exists for.
-	// Few-core machines still run the bench and feed the baseline, but a
-	// speedup they cannot physically reach is not demanded of them; the
-	// paper estate's 3 regions cannot occupy 8 workers either, so the
-	// scaling demand applies to grids of at least 8 regions.
-	if len(base.TickBench) > 0 && len(fresh.TickBench) > 0 {
-		baseTB := make(map[string]tickBench, len(base.TickBench))
-		for _, tb := range base.TickBench {
-			baseTB[tb.Estate] = tb
-		}
-		for _, tb := range fresh.TickBench {
-			want, ok := baseTB[tb.Estate]
-			if ok && want.Ticks == tb.Ticks {
-				if bs, fs := want.run(1), tb.run(1); bs != nil && fs != nil && bs.TicksPerSec > 0 &&
-					fs.TicksPerSec < bs.TicksPerSec/wallTol {
-					return fmt.Errorf("%s serial tick throughput %.0f/s fell below 1/%gx baseline %.0f/s",
-						tb.Estate, fs.TicksPerSec, wallTol, bs.TicksPerSec)
-				}
-			}
-			if tb.Cores >= 8 && tb.Regions >= 8 {
-				if r8 := tb.run(8); r8 != nil && r8.Speedup < 3 {
-					return fmt.Errorf("%s tick throughput at 8 workers is %.2fx serial on a %d-core machine, want >= 3x",
-						tb.Estate, r8.Speedup, tb.Cores)
-				}
-			}
-		}
 	}
 	if len(base.ChurnSweep) > 0 && len(fresh.ChurnSweep) > 0 {
 		baseChurn := make(map[string]churnRun, len(base.ChurnSweep))
@@ -612,7 +503,6 @@ func main() {
 		churn      = flag.Bool("churn-sweep", false, "additionally run the low/medium/high mobility presets, recording wall time and incremental-hit statistics per preset")
 		queryB     = flag.Bool("query-bench", true, "additionally serve a short paper estate and measure live query-endpoint latency")
 		servingB   = flag.Bool("serving-bench", true, "additionally load a short paper estate with a mixed client population and measure per-kind push bandwidth")
-		tickB      = flag.Bool("tick-bench", true, "additionally step the paper and city estates at several worker counts and measure whole-estate tick throughput")
 	)
 	flag.Parse()
 
@@ -754,27 +644,6 @@ func main() {
 		bo.ServingBench = sb
 		fmt.Printf("slbench: serving path: %d pushes, avatar %.0f B/push, AOI %.0f B/push (%.1fx reduction), %d faults\n\n",
 			sb.Pushes, sb.AvatarBytesPerPush, sb.AOIBytesPerPush, sb.FullToAOIRatio, sb.ServerFaults)
-	}
-	if *tickB {
-		for _, tc := range []struct {
-			cfg   world.EstateConfig
-			ticks int64
-		}{
-			{world.PaperEstate(*seed), 20000},
-			{world.CityEstate(*seed), 4000},
-		} {
-			tb, err := tickBenchRun(ctx, tc.cfg, tc.ticks)
-			if err != nil {
-				log.Fatal(err)
-			}
-			bo.TickBench = append(bo.TickBench, tb)
-			fmt.Printf("slbench: tick engine %q (%d regions, %d ticks):", tb.Estate, tb.Regions, tb.Ticks)
-			for _, run := range tb.Runs {
-				fmt.Printf(" x%d %.0f ticks/s (%.2fx)", run.Workers, run.TicksPerSec, run.Speedup)
-			}
-			fmt.Println()
-		}
-		fmt.Println()
 	}
 	if *jsonOut != "" {
 		data, err := json.MarshalIndent(bo, "", "  ")

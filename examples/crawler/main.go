@@ -22,10 +22,9 @@ func main() {
 	scn := slmob.IsleOfView(7)
 	scn.Duration = 86400
 
-	srv, err := server.New(server.Config{
-		Addr:     "127.0.0.1:0",
-		Scenario: scn,
-		Warp:     1200, // one sim hour ≈ 3 wall seconds
+	srv, err := server.NewEstate(server.EstateConfig{
+		Estate: slmob.SingleRegionEstate(scn),
+		Warp:   1200, // one sim hour ≈ 3 wall seconds
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -33,10 +32,10 @@ func main() {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go func() { _ = srv.Run(ctx) }()
-	fmt.Printf("region server hosting %q on %s (warp 1200x)\n", scn.Land.Name, srv.Addr())
+	fmt.Printf("region server hosting %q on %s (warp 1200x)\n", scn.Land.Name, srv.RegionAddr(0))
 
 	cr, err := crawler.New(crawler.Config{
-		Addr:     srv.Addr(),
+		Addr:     srv.RegionAddr(0),
 		Name:     "paper-crawler",
 		Tau:      slmob.PaperTau,
 		Duration: 3600,

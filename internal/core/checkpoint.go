@@ -138,7 +138,7 @@ func (wa *WindowedAnalyzer) Checkpoint() ([]byte, error) {
 	w.Varint(wa.window)
 	w.Bool(wa.started)
 	w.Varint(wa.curIdx)
-	w.Bool(wa.hook != nil)
+	w.Bool(wa.hook != nil || wa.needHook)
 	w.Varint(wa.series.First)
 	w.Uvarint(uint64(len(wa.series.Windows)))
 	for _, an := range wa.series.Windows {

@@ -139,6 +139,39 @@ func TestCheckpointResumeWindowed(t *testing.T) {
 	}
 }
 
+// TestWindowedRecheckpointKeepsHookMode: an analyzer restored from a
+// hook-mode checkpoint and checkpointed again before OnWindow is still a
+// hook-mode analyzer, so its second restore must also refuse to run
+// until the hook is re-registered.
+func TestWindowedRecheckpointKeepsHookMode(t *testing.T) {
+	wa, err := NewWindowedAnalyzer("hooked", 10, 250, Config{Ranges: []float64{10}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wa.OnWindow(func(k int64, an *Analysis) {})
+	for _, s := range windowSnapshots(60) {
+		if err := wa.Observe(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blob, err := wa.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for gen := 1; gen <= 2; gen++ {
+		wb, err := RestoreWindowedAnalyzer(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !wb.RequiresHook() {
+			t.Fatalf("restore %d: RequiresHook() = false, want true", gen)
+		}
+		if blob, err = wb.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestCheckpointDecoderRejects pins the typed-error contract for every
 // corruption mode: wrong payload kind, version skew, truncation, bit
 // flips, and garbage all return a *snap.Error (or a validation error),

@@ -16,7 +16,6 @@ func TestLoadSmoke(t *testing.T) {
 		Seed:        3,
 		SimDuration: 1800,
 		Warp:        2000,
-		SimWorkers:  2,
 		Window:      600,
 		Observers:   30,
 		Readers:     20,
@@ -53,10 +52,7 @@ func TestLoadSmoke(t *testing.T) {
 	if rep.Regions != 3 || rep.Estate == "" {
 		t.Errorf("estate = %q with %d regions, want the 1x3 paper estate", rep.Estate, rep.Regions)
 	}
-	// Self-hosted runs report the tick engine's sustained timing.
-	if rep.SimWorkers != 2 {
-		t.Errorf("sim workers = %d, want the configured 2", rep.SimWorkers)
-	}
+	// Self-hosted runs report the tick loop's sustained timing.
 	if rep.TickIntervals == 0 || rep.TickSteps == 0 {
 		t.Errorf("tick timing not reported: %d intervals / %d steps", rep.TickIntervals, rep.TickSteps)
 	}

@@ -19,10 +19,9 @@ import (
 // goroutine, so a full kernel buffer costs the clock nothing and the
 // wedged session is dropped once its bounded queue fills.
 func TestSlowSubscriberDoesNotStallClock(t *testing.T) {
-	srv, cancel := startServer(t, testScenario(31, 86400), 5000)
-	defer cancel()
+	srv := startEstate(t, landEstate(testScenario(31, 86400), 5000))
 
-	conn, err := net.Dial("tcp", srv.Addr())
+	conn, err := net.Dial("tcp", srv.RegionAddr(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +52,7 @@ func TestSlowSubscriberDoesNotStallClock(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		srv.mu.Lock()
-		n := len(srv.host.sessions)
+		n := len(srv.hosts[0].sessions)
 		srv.mu.Unlock()
 		if n == 0 {
 			break
@@ -118,25 +117,17 @@ func TestRelayChatClosesWedgedSession(t *testing.T) {
 	}
 }
 
-// TestSingleLandAnalyticsQuery runs a single-land server with the
-// analytics endpoint enabled through a full (warped) measurement and
+// TestSingleLandAnalyticsQuery serves a single land as a 1×1 estate with
+// the analytics endpoint enabled through a full (warped) measurement and
 // exercises the query lifecycle: empty reply before the first window,
 // sealed cumulative/window/stats after the run, with region 0 carrying
 // the full per-land analysis (network metrics included) and the global
 // view the estate-style merge.
 func TestSingleLandAnalyticsQuery(t *testing.T) {
 	scn := testScenario(5, 1800)
-	srv, err := New(Config{
-		Addr:      "127.0.0.1:0",
-		Scenario:  scn,
-		Warp:      5000,
-		TickEvery: time.Millisecond,
-		Analytics: AnalyticsConfig{Addr: "127.0.0.1:0", Window: 600},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(srv.CloseAnalytics)
+	cfg := landEstate(scn, 5000)
+	cfg.Analytics = AnalyticsConfig{Addr: "127.0.0.1:0", Window: 600}
+	srv := newEstate(t, cfg)
 
 	qc, err := slp.DialQuery(srv.QueryAddr(), 5*time.Second)
 	if err != nil {

@@ -1,8 +1,16 @@
-// The estate server: networked multi-region hosting. One region server
-// per grid cell serves clients on its own TCP listener while a shared
-// warped clock advances every region in lockstep — the topology the live
-// Second Life service ran, where one simulator process hosted each 256 m
-// region of the contiguous grid.
+// Package server hosts simulated lands over the slp wire protocol: it is
+// the stand-in for the Second Life region servers the paper's monitors
+// connected to. Its one server type, EstateServer, hosts an R×C grid of
+// regions on a shared warped clock; a single land is served as a 1×1
+// estate (world.SingleRegionEstate). Each region has its own TCP
+// listener, the same topology the live service ran, where one simulator
+// process hosted each 256 m region of the contiguous grid, and a
+// directory endpoint serves grid discovery. The server advances the
+// world in real time under a configurable time warp, admits external
+// avatars (crawlers) and measurement-grade observers, relays local chat,
+// answers coarse and full-resolution map requests, pushes map
+// subscriptions, and enforces each land's object-deployment policy for
+// sensors.
 //
 // Every region lives in this one process, so avatar handoffs are
 // in-process: each tick calls the same EstateSim.Step as the offline
@@ -79,13 +87,6 @@ type EstateServer struct {
 	hosts    []*landHost
 	dirConns map[net.Conn]struct{} // directory connections, closed on shutdown
 
-	// Hoisted per-host fanout closures for the post-step serving phase,
-	// plus their arguments; only the tick goroutine touches them.
-	hostJob    func(i int)
-	sampleJob  func(i int)
-	hostNow    int64
-	sampleTick *trace.EstateTick
-
 	dirLn net.Listener
 
 	tickMu sync.Mutex
@@ -136,10 +137,6 @@ func (s *EstateServer) TickStats() TickStats {
 	return st
 }
 
-// StepWorkers reports how many goroutines step regions concurrently
-// each tick (1 when the estate runs its serial loop).
-func (s *EstateServer) StepWorkers() int { return s.est.StepWorkers() }
-
 // recordTick folds one ticker interval's stepping cost into the stats.
 func (s *EstateServer) recordTick(steps int, elapsed time.Duration) {
 	s.tickMu.Lock()
@@ -175,16 +172,6 @@ func NewEstate(cfg EstateConfig) (*EstateServer, error) {
 		dirConns: make(map[net.Conn]struct{}),
 		held:     cfg.Hold,
 		start:    make(chan struct{}),
-	}
-	s.hostJob = func(i int) { s.hosts[i].stepLocked(s.hostNow) }
-	s.sampleJob = func(i int) {
-		h := s.hosts[i]
-		states := h.sim.ResidentStates(nil)
-		snap := trace.Snapshot{T: s.sampleTick.T, Samples: make([]trace.Sample, len(states))}
-		for j, st := range states {
-			snap.Samples[j] = trace.Sample{ID: st.ID, Pos: st.Pos, Seated: st.Seated}
-		}
-		s.sampleTick.Regions[i] = snap
 	}
 	if !cfg.Hold {
 		close(s.start)
@@ -413,38 +400,35 @@ func (s *EstateServer) Run(ctx context.Context) error {
 
 // step advances the shared clock by one second and reports whether the
 // estate duration elapsed. Under the lock, every region simulation ticks
-// and the tick's cross-region handoffs settle (EstateSim.Step, fanned
-// across the estate's step pool when one is configured); then the
-// post-step serving phase runs: sensors scan, each host materialises its
-// map snapshot and publishes the clock, and due subscription pushes go
-// out.
+// and the tick's cross-region handoffs settle (EstateSim.Step); then each
+// host in turn runs its serving phase: sensors scan, the host publishes
+// the clock, and due subscription pushes go out. enqueueRaw is the only
+// sink and never blocks (drop-slow-consumer), so a slow client cannot
+// hold the clock.
 //
-// The serving phase fans out per host on the same pool. Each host's
-// snapshot, sensors, and sessions are its own; enqueueRaw is the only
-// sink and never blocks (drop-slow-consumer), so push enqueueing is
-// naturally sharded by region — one slow region's frame encoding does
-// not serialise the other 63. The estate lock is held by this goroutine
-// for the whole fanout and Pool.Run is a barrier, so every other
-// accessor of host state still sees the lock-ordered world.
+// On a τ boundary the regions are sampled for analytics under the same
+// lock — after handoffs settled, the instant an in-process EstateSource
+// would observe — but the tick is handed to the engine outside it, so
+// analysis can never hold the clock.
 func (s *EstateServer) step() bool {
 	s.mu.Lock()
 	s.est.Step()
 	now := s.est.Time()
-	pool := s.est.StepPool()
-	s.hostNow = now
-	pool.Run(len(s.hosts), s.hostJob)
-	// Sample for analytics under the lock — after handoffs settled, the
-	// same instant an in-process EstateSource would observe — but hand
-	// the tick to the engine outside it, so analysis can never hold the
-	// clock. Each region samples into its own tick slot, so this fans
-	// out too.
+	for _, h := range s.hosts {
+		h.stepLocked(now)
+	}
 	var tick trace.EstateTick
 	sample := s.analytics != nil && now > 0 && now%s.analytics.tau() == 0
 	if sample {
 		tick = trace.EstateTick{T: now, Regions: make([]trace.Snapshot, len(s.hosts))}
-		s.sampleTick = &tick
-		pool.Run(len(s.hosts), s.sampleJob)
-		s.sampleTick = nil
+		for i, h := range s.hosts {
+			states := h.sim.ResidentStates(nil)
+			snap := trace.Snapshot{T: now, Samples: make([]trace.Sample, len(states))}
+			for j, st := range states {
+				snap.Samples[j] = trace.Sample{ID: st.ID, Pos: st.Pos, Seated: st.Seated}
+			}
+			tick.Regions[i] = snap
+		}
 	}
 	s.mu.Unlock()
 	if sample {
@@ -558,7 +542,4 @@ func (s *EstateServer) shutdown() {
 	s.mu.Unlock()
 	s.closeListeners()
 	s.wg.Wait()
-	// All tick work has quiesced; the estate's step workers can park
-	// permanently.
-	s.est.Close()
 }

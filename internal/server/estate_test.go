@@ -23,16 +23,37 @@ func testEstate(seed uint64, duration int64) world.EstateConfig {
 	return est
 }
 
-// startEstate launches an estate server and returns it.
-func startEstate(t *testing.T, cfg EstateConfig) *EstateServer {
+// landEstate serves one land as a 1×1 estate at the given warp.
+func landEstate(scn world.Scenario, warp float64) EstateConfig {
+	return EstateConfig{Estate: world.SingleRegionEstate(scn), Warp: warp}
+}
+
+// newEstate builds an estate server for a test; TickEvery defaults to
+// 1 ms. Its cleanup runs after the test has closed its clients and Run
+// has returned: it closes the analytics service and then requires every
+// goroutine the server started to be gone.
+func newEstate(t *testing.T, cfg EstateConfig) *EstateServer {
 	t.Helper()
 	if cfg.TickEvery == 0 {
 		cfg.TickEvery = time.Millisecond
 	}
+	base := runtime.NumGoroutine()
 	srv, err := NewEstate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() {
+		srv.CloseAnalytics()
+		awaitGoroutines(t, base, 5*time.Second)
+	})
+	return srv
+}
+
+// startEstate builds an estate server with newEstate and runs it until
+// the test ends.
+func startEstate(t *testing.T, cfg EstateConfig) *EstateServer {
+	t.Helper()
+	srv := newEstate(t, cfg)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
@@ -66,22 +87,12 @@ func awaitGoroutines(t *testing.T, base int, deadline time.Duration) {
 	}
 }
 
-// TestEstateHandoffsInProcess runs a full short estate service on a
-// stepping pool and checks that avatars actually moved between its
-// regions, and that Run returns with every goroutine it started gone.
+// TestEstateHandoffsInProcess runs a full short estate service and
+// checks that avatars actually moved between its regions; newEstate's
+// cleanup checks that Run returned with every goroutine it started gone.
 func TestEstateHandoffsInProcess(t *testing.T) {
-	base := runtime.NumGoroutine()
-	est := testEstate(3, 900)
-	est.SimWorkers = 2
-	srv, err := NewEstate(EstateConfig{
-		Estate:    est,
-		Warp:      4000,
-		TickEvery: time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = srv.Run(context.Background())
+	srv := newEstate(t, EstateConfig{Estate: testEstate(3, 900), Warp: 4000})
+	err := srv.Run(context.Background())
 	if !errors.Is(err, ErrDurationReached) {
 		t.Fatalf("run = %v, want duration reached", err)
 	}
@@ -91,7 +102,6 @@ func TestEstateHandoffsInProcess(t *testing.T) {
 	if srv.Teleports() == 0 {
 		t.Error("no teleports between regions")
 	}
-	awaitGoroutines(t, base, 5*time.Second)
 }
 
 // TestPingSkipsTickLock: a ping is answered from the published clock, so
@@ -173,11 +183,10 @@ func TestEstateObserverSession(t *testing.T) {
 func TestMalformedLoginGetsTypedError(t *testing.T) {
 	scn := world.DanceIsland(9)
 	scn.Duration = 86400
-	srv, cancel := startServer(t, scn, 100)
-	defer cancel()
+	srv := startEstate(t, landEstate(scn, 100))
 
 	// A well-framed payload that decodes to no known message.
-	if e := rawLoginReply(t, srv.Addr(), []byte{0xEE, 0xDE, 0xAD, 0xBE, 0xEF}); e.Code != slp.ErrMalformed {
+	if e := rawLoginReply(t, srv.RegionAddr(0), []byte{0xEE, 0xDE, 0xAD, 0xBE, 0xEF}); e.Code != slp.ErrMalformed {
 		t.Errorf("error code = %d, want ErrMalformed", e.Code)
 	}
 }
@@ -265,5 +274,64 @@ func TestDirectoryEndpoint(t *testing.T) {
 	}
 	if dir.Held {
 		t.Error("directory still reports a held clock after start")
+	}
+}
+
+// TestEstateTickStats: a finished run reports its tick-loop timing.
+func TestEstateTickStats(t *testing.T) {
+	srv := newEstate(t, EstateConfig{Estate: testEstate(7, 600), Warp: 4000})
+	if err := srv.Run(context.Background()); !errors.Is(err, ErrDurationReached) {
+		t.Fatalf("run = %v", err)
+	}
+	st := srv.TickStats()
+	if st.Intervals == 0 || st.Steps == 0 {
+		t.Fatalf("tick stats empty: %+v", st)
+	}
+	if st.Steps < st.Intervals {
+		t.Errorf("steps %d < intervals %d at warp 4000", st.Steps, st.Intervals)
+	}
+	if st.Max == 0 || st.Total < st.Max {
+		t.Errorf("tick durations inconsistent: total %v max %v", st.Total, st.Max)
+	}
+	if st.Budget != time.Millisecond {
+		t.Errorf("budget = %v, want the configured TickEvery", st.Budget)
+	}
+}
+
+// TestDirectoryConnHeldOpenDoesNotStallShutdown is the regression gate
+// for directory-connection tracking: an idle monitor connection sits in
+// a 30 s read deadline, and Run used to be unable to return until it
+// expired because the serving goroutine was joined on s.wg with nothing
+// closing the socket. Shutdown must close tracked directory
+// connections and return promptly.
+func TestDirectoryConnHeldOpenDoesNotStallShutdown(t *testing.T) {
+	srv := newEstate(t, EstateConfig{Estate: testEstate(11, 86400), Warp: 100})
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- srv.Run(ctx) }()
+
+	// A directory client that asks once and then holds the connection
+	// open, idle, like a monitor between polls.
+	conn, err := net.Dial("tcp", srv.DirectoryAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := slp.WriteMessage(conn, slp.DirectoryRequest{}); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := slp.ReadMessage(conn); err != nil {
+		t.Fatalf("directory reply: %v", err)
+	}
+
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("run = %v, want context.Canceled", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run did not return with a directory connection held open")
 	}
 }

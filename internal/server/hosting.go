@@ -17,11 +17,10 @@ import (
 	"slmob/internal/world"
 )
 
-// landHost serves the slp session protocol for one hosted land. The
-// single-land Server owns exactly one; an EstateServer owns one per
-// region, all guarded by the estate-wide lock. The owner supplies the
-// mutex, runs the simulation clock, and calls pushDueLocked after each
-// advance.
+// landHost serves the slp session protocol for one hosted land. An
+// EstateServer owns one per region, all guarded by the estate-wide lock.
+// The owner supplies the mutex, runs the simulation clock, and calls
+// stepLocked after each advance.
 type landHost struct {
 	mu       *sync.Mutex
 	closed   *bool
@@ -49,6 +48,10 @@ type landHost struct {
 	// each step, so a reader sees the time of the last completed step.
 	clock atomic.Int64
 }
+
+// ChatRange is the local-chat audibility radius in metres (Second Life's
+// "say" range is about 20 m).
+const ChatRange = 20.0
 
 // aoiGridCell is the serving grid's cell edge in metres — sized for the
 // chat/contact-range radii (20–96 m) AOI subscribers ask for.
@@ -264,14 +267,6 @@ func (sess *session) drain(timeout time.Duration) {
 	for !sess.drained() && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-}
-
-func newLandHost(mu *sync.Mutex, closed *bool, scn world.Scenario, addr string, warp float64, password string) (*landHost, error) {
-	sim, err := world.NewSim(scn)
-	if err != nil {
-		return nil, err
-	}
-	return newLandHostSim(mu, closed, sim, addr, warp, password)
 }
 
 func newLandHostSim(mu *sync.Mutex, closed *bool, sim *world.Sim, addr string, warp float64, password string) (*landHost, error) {

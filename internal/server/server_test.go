@@ -9,8 +9,11 @@ import (
 	"slmob/internal/crawler"
 	"slmob/internal/geom"
 	"slmob/internal/slp"
+	"slmob/internal/trace"
 	"slmob/internal/world"
 )
+
+// Single-land serving: each test hosts one land as a 1×1 estate.
 
 // testScenario is small and quick under a high warp.
 func testScenario(seed uint64, duration int64) world.Scenario {
@@ -19,38 +22,9 @@ func testScenario(seed uint64, duration int64) world.Scenario {
 	return scn
 }
 
-// startServer launches a server and returns it with a cancel function.
-func startServer(t *testing.T, scn world.Scenario, warp float64) (*Server, context.CancelFunc) {
-	t.Helper()
-	srv, err := New(Config{
-		Addr:      "127.0.0.1:0",
-		Scenario:  scn,
-		Warp:      warp,
-		TickEvery: time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = srv.Run(ctx)
-	}()
-	t.Cleanup(func() {
-		cancel()
-		select {
-		case <-done:
-		case <-time.After(5 * time.Second):
-			t.Error("server did not stop")
-		}
-	})
-	return srv, cancel
-}
-
 func TestHandshakeAndPing(t *testing.T) {
-	srv, _ := startServer(t, testScenario(1, 86400), 500)
-	c, err := slp.Dial(srv.Addr(), "tester", "", 5*time.Second)
+	srv := startEstate(t, landEstate(testScenario(1, 86400), 500))
+	c, err := slp.Dial(srv.RegionAddr(0), "tester", "", 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,20 +43,14 @@ func TestHandshakeAndPing(t *testing.T) {
 }
 
 func TestPasswordRequired(t *testing.T) {
-	scn := testScenario(2, 86400)
-	srv, err := New(Config{Addr: "127.0.0.1:0", Scenario: scn, Warp: 100,
-		TickEvery: time.Millisecond, Password: "secret"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() { _ = srv.Run(ctx) }()
+	cfg := landEstate(testScenario(2, 86400), 100)
+	cfg.Password = "secret"
+	srv := startEstate(t, cfg)
 
-	if _, err := slp.Dial(srv.Addr(), "x", "wrong", 5*time.Second); err == nil {
+	if _, err := slp.Dial(srv.RegionAddr(0), "x", "wrong", 5*time.Second); err == nil {
 		t.Error("bad password accepted")
 	}
-	c, err := slp.Dial(srv.Addr(), "x", "secret", 5*time.Second)
+	c, err := slp.Dial(srv.RegionAddr(0), "x", "secret", 5*time.Second)
 	if err != nil {
 		t.Fatalf("good password rejected: %v", err)
 	}
@@ -90,8 +58,8 @@ func TestPasswordRequired(t *testing.T) {
 }
 
 func TestMapPollReturnsAvatars(t *testing.T) {
-	srv, _ := startServer(t, testScenario(3, 86400), 500)
-	c, err := slp.Dial(srv.Addr(), "tester", "", 5*time.Second)
+	srv := startEstate(t, landEstate(testScenario(3, 86400), 500))
+	c, err := slp.Dial(srv.RegionAddr(0), "tester", "", 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,8 +91,8 @@ func TestMapPollReturnsAvatars(t *testing.T) {
 }
 
 func TestSubscriptionDeliversPeriodicSnapshots(t *testing.T) {
-	srv, _ := startServer(t, testScenario(4, 86400), 1000)
-	c, err := slp.Dial(srv.Addr(), "tester", "", 5*time.Second)
+	srv := startEstate(t, landEstate(testScenario(4, 86400), 1000))
+	c, err := slp.Dial(srv.RegionAddr(0), "tester", "", 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,8 +121,8 @@ func TestSubscriptionDeliversPeriodicSnapshots(t *testing.T) {
 }
 
 func TestMoveAndChatAccepted(t *testing.T) {
-	srv, _ := startServer(t, testScenario(5, 86400), 500)
-	c, err := slp.Dial(srv.Addr(), "tester", "", 5*time.Second)
+	srv := startEstate(t, landEstate(testScenario(5, 86400), 500))
+	c, err := slp.Dial(srv.RegionAddr(0), "tester", "", 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,8 +141,8 @@ func TestMoveAndChatAccepted(t *testing.T) {
 
 func TestObjectPolicyPrivateLandRejects(t *testing.T) {
 	// Dance Island is private: sensor deployment must fail, as in §2.
-	srv, _ := startServer(t, testScenario(6, 86400), 500)
-	c, err := slp.Dial(srv.Addr(), "builder", "", 5*time.Second)
+	srv := startEstate(t, landEstate(testScenario(6, 86400), 500))
+	c, err := slp.Dial(srv.RegionAddr(0), "builder", "", 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,8 +159,8 @@ func TestObjectPolicyPrivateLandRejects(t *testing.T) {
 func TestObjectPolicyPublicLandExpiry(t *testing.T) {
 	scn := world.ApfelLand(7) // public, ObjectLifetime 7200
 	scn.Duration = 86400
-	srv, _ := startServer(t, scn, 500)
-	c, err := slp.Dial(srv.Addr(), "builder", "", 5*time.Second)
+	srv := startEstate(t, landEstate(scn, 500))
+	c, err := slp.Dial(srv.RegionAddr(0), "builder", "", 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,8 +178,11 @@ func TestObjectPolicyPublicLandExpiry(t *testing.T) {
 	if rep.ExpiresAt == 0 {
 		t.Error("public-land object has no expiry")
 	}
-	if srv.Sensors().ActiveObjects() != 1 {
-		t.Errorf("active objects = %d", srv.Sensors().ActiveObjects())
+	srv.mu.Lock()
+	active := srv.hosts[0].sensors.ActiveObjects()
+	srv.mu.Unlock()
+	if active != 1 {
+		t.Errorf("active objects = %d", active)
 	}
 }
 
@@ -219,17 +190,18 @@ func TestCrawlerEndToEnd(t *testing.T) {
 	// Full measurement path: server under heavy time warp, crawler
 	// collecting a 30-minute trace over TCP.
 	scn := testScenario(8, 86400)
-	srv, _ := startServer(t, scn, 2000)
+	srv := startEstate(t, landEstate(scn, 2000))
 	cr, err := crawler.New(crawler.Config{
-		Addr: srv.Addr(), Name: "paper-crawler", Tau: 10,
+		Addr: srv.RegionAddr(0), Name: "paper-crawler", Tau: 10,
 		Duration: 1800, Mimic: true, Seed: 9,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer cr.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	tr, err := cr.Run(ctx)
+	tr, err := trace.Collect(ctx, cr.Source(), "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,13 +231,13 @@ func TestCrawlerEndToEnd(t *testing.T) {
 func TestLandFullRejectsLogin(t *testing.T) {
 	scn := testScenario(10, 86400)
 	scn.Land.MaxAvatars = scn.Warmup + 1 // room for exactly one client
-	srv, _ := startServer(t, scn, 100)
-	c1, err := slp.Dial(srv.Addr(), "one", "", 5*time.Second)
+	srv := startEstate(t, landEstate(scn, 100))
+	c1, err := slp.Dial(srv.RegionAddr(0), "one", "", 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c1.Close()
-	if _, err := slp.Dial(srv.Addr(), "two", "", 5*time.Second); err == nil {
+	if _, err := slp.Dial(srv.RegionAddr(0), "two", "", 5*time.Second); err == nil {
 		t.Error("second login accepted on a full land")
 	}
 }
@@ -276,8 +248,8 @@ func TestLandFullRejectsLogin(t *testing.T) {
 // never exceed MaxPayload and silently drop the event — this pins the
 // boundary case.
 func TestChatRelayAtMaxLength(t *testing.T) {
-	srv, _ := startServer(t, testScenario(23, 86400), 500)
-	hearer, err := slp.Dial(srv.Addr(), "hearer", "", 5*time.Second)
+	srv := startEstate(t, landEstate(testScenario(23, 86400), 500))
+	hearer, err := slp.Dial(srv.RegionAddr(0), "hearer", "", 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +261,7 @@ func TestChatRelayAtMaxLength(t *testing.T) {
 	if _, err := hearer.Ping(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	speaker, err := slp.Dial(srv.Addr(), "speaker", "", 5*time.Second)
+	speaker, err := slp.Dial(srv.RegionAddr(0), "speaker", "", 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

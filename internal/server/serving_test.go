@@ -151,13 +151,13 @@ func TestAOIPushFiltersByRadius(t *testing.T) {
 // (keyframes included; the run crosses the keyframe cadence) reproduces
 // exactly what an unfiltered subscriber sees.
 func TestDeltaSubscriptionMatchesPlain(t *testing.T) {
-	srv, _ := startServer(t, testScenario(13, 300), 1000)
-	plain, err := slp.Dial(srv.Addr(), "plain", "", 5*time.Second)
+	srv := startEstate(t, landEstate(testScenario(13, 300), 1000))
+	plain, err := slp.Dial(srv.RegionAddr(0), "plain", "", 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer plain.Close()
-	delta, err := slp.Dial(srv.Addr(), "delta", "", 5*time.Second)
+	delta, err := slp.Dial(srv.RegionAddr(0), "delta", "", 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

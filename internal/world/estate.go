@@ -6,7 +6,6 @@ import (
 	"io"
 	"strconv"
 
-	"slmob/internal/fanout"
 	"slmob/internal/geom"
 	"slmob/internal/rng"
 	"slmob/internal/trace"
@@ -45,12 +44,6 @@ type EstateConfig struct {
 	// Duration of the shared clock in seconds; zero adopts the first
 	// region's scenario duration.
 	Duration int64
-	// SimWorkers is how many goroutines step regions concurrently each
-	// tick. Region simulations are independent within a tick — each owns
-	// its rng streams and avatar set — so the worker count never changes
-	// results, only wall time; the estate-level decision sweep stays
-	// serial either way. Values below 2 select the serial loop.
-	SimWorkers int
 }
 
 // SingleRegionEstate wraps one scenario as a 1×1 estate: the degenerate
@@ -148,9 +141,7 @@ type pendingMove struct {
 
 // EstateSim advances every region of an estate in lockstep and performs
 // the cross-border handoffs between them. Like Sim, it is not safe for
-// concurrent use: with cfg.SimWorkers > 1 the region steps inside one
-// tick fan out across a persistent worker pool, but the estate itself
-// still expects a single driving goroutine.
+// concurrent use.
 type EstateSim struct {
 	cfg  EstateConfig
 	size float64
@@ -163,11 +154,6 @@ type EstateSim struct {
 	blocked   int
 
 	moves []pendingMove
-
-	// pool steps regions concurrently (nil when serial); stepJob is the
-	// hoisted dispatch closure so per-tick fanout allocates nothing.
-	pool    *fanout.Pool
-	stepJob func(i int)
 }
 
 // NewEstateSim validates the estate and builds one simulation per region,
@@ -188,29 +174,12 @@ func NewEstateSim(cfg EstateConfig) (*EstateSim, error) {
 		}
 		e.sims = append(e.sims, sim)
 	}
-	if workers := cfg.SimWorkers; workers > 1 && len(e.sims) > 1 {
-		if workers > len(e.sims) {
-			workers = len(e.sims)
-		}
-		e.pool = fanout.NewPool(workers)
-		e.stepJob = func(i int) { e.sims[i].Step() }
-	}
 	return e, nil
 }
 
-// StepWorkers reports the estate's effective step concurrency.
-func (e *EstateSim) StepWorkers() int { return e.pool.Workers() }
-
-// StepPool exposes the estate's persistent step pool — nil when the
-// estate steps serially — so the serving layer can fan its own
-// per-tick phases across the same parked workers instead of keeping a
-// second pool. The pool is single-dispatcher: only the goroutine
-// driving Step may use it.
-func (e *EstateSim) StepPool() *fanout.Pool { return e.pool }
-
-// Close winds down the estate's step workers; safe (and a no-op) on a
-// serial estate.
-func (e *EstateSim) Close() { e.pool.Close() }
+// Close releases the estate. An EstateSim holds nothing beyond memory,
+// so Close does nothing; it stays for callers that defer it.
+func (e *EstateSim) Close() {}
 
 // Time returns the shared clock in seconds.
 func (e *EstateSim) Time() int64 { return e.t }
@@ -251,20 +220,10 @@ func (e *EstateSim) BlockedHandoffs() int { return e.blocked }
 // ticks, then pending border crossings and teleports are resolved in
 // process. The estate server makes the same call, so a served estate
 // hands avatars off exactly as the offline one does.
-//
-// Region steps within a tick are independent — each sim owns its rng
-// streams, avatar set, and departure scratch — so with a pool they fan
-// out across the parked workers; Pool.Run is a barrier, so the migration
-// sweep that follows always sees every region fully stepped, and a nil
-// pool degenerates to the serial region-order loop.
 func (e *EstateSim) Step() {
 	e.t++
-	if e.pool != nil {
-		e.pool.Run(len(e.sims), e.stepJob)
-	} else {
-		for _, s := range e.sims {
-			s.Step()
-		}
+	for _, s := range e.sims {
+		s.Step()
 	}
 	if len(e.sims) < 2 || (e.cfg.CrossProb == 0 && e.cfg.TeleportProb == 0) {
 		return

@@ -56,7 +56,6 @@ type options struct {
 	cfg           core.Config
 	parallel      int
 	regionWorkers int
-	simWorkers    int
 
 	// Windowed analytics.
 	windowFn       core.WindowFunc
@@ -146,19 +145,6 @@ func WithParallelLands(n int) Option {
 // analysis. The worker count never changes results, only wall time.
 func WithRegionWorkers(n int) Option {
 	return func(o *options) { o.regionWorkers = n }
-}
-
-// WithSimWorkers steps an estate's regions concurrently on a persistent
-// worker pool, in RunEstate and in the served estate's tick loop alike.
-// Each region owns its rng streams and avatar set, so region steps
-// within a tick are independent and the worker count never changes
-// results — the parallel-vs-serial differential gates pin the output
-// bit-identical. The default (0) and 1 select the serial loop; the
-// estate-level migration sweep is always serial. It is the simulation
-// counterpart of WithRegionWorkers/WithRangeWorkers, which parallelise
-// the analysis side.
-func WithSimWorkers(n int) Option {
-	return func(o *options) { o.simWorkers = n }
 }
 
 // WithRangeWorkers fans each snapshot's independent communication-range
@@ -375,14 +361,10 @@ func consumeWindowed(ctx context.Context, src SnapshotSource, land string, tau i
 // pipeline exactly.
 func RunEstate(ctx context.Context, est Estate, opts ...Option) (*EstateAnalysis, error) {
 	o := buildOptions(opts)
-	if o.simWorkers > 0 {
-		est.SimWorkers = o.simWorkers
-	}
 	src, err := world.NewEstateSource(est, o.tau)
 	if err != nil {
 		return nil, err
 	}
-	defer src.Estate().Close()
 	metas := make([]core.RegionMeta, len(est.Regions))
 	for i, scn := range est.Regions {
 		metas[i] = core.RegionMeta{

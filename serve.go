@@ -5,7 +5,7 @@ package slmob
 // networked counterpart of RunEstate, reproducing the paper's online
 // methodology (monitors connected to live region servers) at estate
 // scale. A served estate advanced at the same seed is bit-identical to
-// the in-process simulation, including every cross-server handoff.
+// the in-process simulation, including every handoff between regions.
 
 import (
 	"context"
@@ -22,8 +22,9 @@ import (
 const DefaultWarp = 600
 
 // EstateService is a running networked estate: one region server per
-// grid cell, cross-server avatar handoffs, and a directory endpoint for
-// grid discovery, hosted on a background goroutine until stopped.
+// grid cell, in-process avatar handoffs between them, and a directory
+// endpoint for grid discovery, hosted on a background goroutine until
+// stopped.
 type EstateService struct {
 	srv    *server.EstateServer
 	cancel context.CancelFunc
@@ -32,8 +33,8 @@ type EstateService struct {
 }
 
 // ServeEstate starts serving the estate live: every region gets its own
-// TCP listener, border-crossing avatars are handed between region
-// servers over the network, and the directory endpoint at
+// TCP listener, border-crossing avatars are handed between regions in
+// process each tick, and the directory endpoint at
 // DirectoryAddr lets clients discover the grid. The service runs until
 // Stop, context cancellation, or the estate duration elapsing on the
 // shared (warped) clock.
@@ -42,9 +43,6 @@ func ServeEstate(ctx context.Context, est Estate, opts ...Option) (*EstateServic
 	warp := o.warp
 	if warp <= 0 {
 		warp = DefaultWarp
-	}
-	if o.simWorkers > 0 {
-		est.SimWorkers = o.simWorkers
 	}
 	cfg := server.EstateConfig{
 		Estate:    est,
@@ -98,10 +96,6 @@ func (s *EstateService) SimTime() int64 { return s.srv.SimTime() }
 // tick budget (the warped clock falling behind real time). Safe to call
 // while the service runs.
 func (s *EstateService) TickStats() server.TickStats { return s.srv.TickStats() }
-
-// StepWorkers reports how many goroutines the service steps regions
-// with each tick — the resolved WithSimWorkers value, 1 when serial.
-func (s *EstateService) StepWorkers() int { return s.srv.StepWorkers() }
 
 // StartClock releases a clock held by WithHeldClock (idempotent).
 func (s *EstateService) StartClock() int64 { return s.srv.StartClock() }
@@ -164,8 +158,8 @@ func CrawlEstate(directory string, opts ...Option) (*crawler.EstateCrawler, erro
 // shared clock once all monitors are subscribed, and runs the sharded
 // incremental analysis on the live feed. For a given estate, seed, and
 // τ the result is identical to the offline RunEstate pipeline — the
-// live-vs-replay parity test pins it — while every avatar handoff
-// crosses a real TCP connection between region servers.
+// live-vs-replay parity test pins it — while every observation
+// crosses a real TCP connection from a region server to its monitor.
 func AnalyzeEstateLive(ctx context.Context, est Estate, opts ...Option) (*EstateAnalysis, error) {
 	o := buildOptions(opts)
 	svc, err := ServeEstate(ctx, est, append(append([]Option{}, opts...), WithHeldClock())...)
